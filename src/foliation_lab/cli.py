@@ -77,10 +77,15 @@ def _validate_config(cfg):
         raise ValueError("grid steps must be positive")
     if grid["x_radius"] <= 0 or grid["t_radius"] <= 0:
         raise ValueError("grid radii must be positive")
-    if cfg["trials"] < 1:
-        raise ValueError("trials must be >= 1")
-    if any(k < 1 for k in cfg["k_values"]):
-        raise ValueError("k_values must be positive integers")
+    if not _is_positive_int(cfg["trials"]):
+        raise ValueError("trials must be a positive integer")
+    k_values = cfg["k_values"]
+    if not isinstance(k_values, list) or not all(_is_positive_int(k) for k in k_values):
+        raise ValueError("k_values must be a list of positive integers")
+
+
+def _is_positive_int(value):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 def _check_rng(cfg, name):

@@ -26,6 +26,7 @@ phi_m^n.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial
@@ -54,7 +55,9 @@ class FlowModel:
     time_reversed: bool = False
 
     def __post_init__(self):
-        if self.k < 1:
+        # a fractional k makes the rescaled field NaN for x < 0, and the ODE
+        # solver then never returns
+        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral) or self.k < 1:
             raise ValueError("k must be a positive integer")
         if self.variant not in (MONOMIAL, COMPLETE_RESCALED):
             raise ValueError(f"unknown variant {self.variant!r}")

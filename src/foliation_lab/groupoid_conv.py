@@ -15,7 +15,12 @@ Quadrature is the trapezoid rule on the t-grid; values of f at the off-grid
 points (phi_s(x), t-s) come from cubic interpolation along x (the t argument
 stays on-grid because both operands share one t-step).  Products get an
 enlarged t-window equal to the sum of the operand windows; the x-window is
-unchanged.
+unchanged.  The adjoint needs f at (phi_tau(x), -tau) only, so for each output
+time it evaluates the x-interpolant of the one mirrored column, straight from
+the spline's piecewise coefficients.
+
+Kernels keep the dtype of their samples: real samples stay float64 through
+every operation, and a result is complex only when an input is.
 """
 
 from __future__ import annotations
@@ -136,7 +141,8 @@ class GroupoidKernel:
             raise TypeError("flow must be a FlowModel")
         x_grid = GridSpec(*x_grid)
         t_grid = GridSpec(*t_grid)
-        samples = np.array(samples, dtype=complex)  # own the data
+        samples = np.asarray(samples)
+        samples = np.array(samples, dtype=np.result_type(samples, float))  # own the data
         if samples.shape != (x_grid.count, t_grid.count):
             raise ValueError(
                 f"samples shape {samples.shape} does not match grids "
@@ -182,16 +188,14 @@ class GroupoidKernel:
         x_grid = GridSpec(*x_grid)
         t_grid = GridSpec(*t_grid)
         X, T = np.meshgrid(x_grid.points, t_grid.points, indexing="ij")
-        return cls(flow, x_grid, t_grid, np.asarray(fn(X, T), dtype=complex), **kw)
+        return cls(flow, x_grid, t_grid, fn(X, T), **kw)
 
     @classmethod
     def separable(cls, flow, x_grid, t_grid, a, b, **kw):
         """Kernel a(x) * b(t) from two one-variable callables."""
         x_grid = GridSpec(*x_grid)
         t_grid = GridSpec(*t_grid)
-        av = np.asarray(a(x_grid.points), dtype=complex)
-        bv = np.asarray(b(t_grid.points), dtype=complex)
-        return cls(flow, x_grid, t_grid, np.outer(av, bv), **kw)
+        return cls(flow, x_grid, t_grid, np.outer(a(x_grid.points), b(t_grid.points)), **kw)
 
     def scale(self, c):
         return GroupoidKernel(self.flow, self.x_grid, self.t_grid, self.samples * c, self.support_tol)
@@ -222,16 +226,28 @@ class GroupoidKernel:
     def _x_spline(self):
         return CubicSpline(self.x_grid.points, self.samples, axis=0, extrapolate=False)
 
-    def _sample_warped(self, spline, x_warp):
+    def _sample_warped(self, spline, x_warp, cols=None):
         """Evaluate the x-interpolant at warped positions; 0 outside window,
-        0 at NaN positions (inadmissible points carrying no mass)."""
-        vals = spline(np.where(np.isnan(x_warp), self.x_grid.start, x_warp))
-        vals = np.where(np.isnan(vals), 0.0, vals)
+        0 at NaN positions (inadmissible points carrying no mass).
+
+        Without ``cols`` every column is evaluated at each point, giving a
+        trailing t-axis.  With ``cols`` (broadcastable to the shape of
+        ``x_warp``) each point is evaluated in its own column only, by one
+        Horner pass over the spline's piecewise coefficients.
+        """
         outside = np.isnan(x_warp) | (x_warp < self.x_grid.start) | (x_warp > self.x_grid.end)
-        if vals.ndim == 2:
-            vals[outside, :] = 0.0
+        x_warp = np.where(outside, self.x_grid.start, x_warp)
+        if cols is None:
+            vals = spline(x_warp)
         else:
-            vals = np.where(outside, 0.0, vals)
+            # interval lookup as PPoly does it: the window end falls in the
+            # last interval
+            nodes = spline.x
+            idx = np.clip(np.searchsorted(nodes, x_warp, side="right") - 1, 0, nodes.size - 2)
+            dx = x_warp - nodes[idx]
+            c = spline.c[:, idx, cols]
+            vals = ((c[0] * dx + c[1]) * dx + c[2]) * dx + c[3]
+        vals[outside] = 0.0
         return vals
 
 
@@ -246,7 +262,7 @@ def convolve(f, g):
     xs = f.x_grid.points
     dt = f.t_grid.step
     n_out = f.t_grid.count + g.t_grid.count - 1
-    out = np.zeros((f.x_grid.count, n_out), dtype=complex)
+    out = np.zeros((f.x_grid.count, n_out), dtype=np.result_type(f.samples, g.samples))
 
     s_vals = g.t_grid.points
     warped = flow_eval_many(flow, s_vals, xs)  # (n_s, n_x), NaN off-domain
@@ -286,13 +302,10 @@ def adjoint(f):
     t_grid = GridSpec(-f.t_grid.end, f.t_grid.step, f.t_grid.count)
     warped = flow_eval_many(flow, t_grid.points, f.x_grid.points)  # (n_t, n_x)
 
-    spline = f._x_spline()
-    out = np.empty((f.x_grid.count, t_grid.count), dtype=complex)
-    for j in range(t_grid.count):
-        # f at (phi_tau(x), -tau); -tau is the mirrored on-grid column
-        col = f.t_grid.count - 1 - j
-        vals = f._sample_warped(spline, warped[j])[:, col]
-        out[:, j] = np.conj(vals)
+    # f at (phi_tau(x), -tau); -tau is the mirrored on-grid column
+    mirrored = np.arange(t_grid.count)[::-1, None]
+    vals = f._sample_warped(f._x_spline(), warped, cols=mirrored)  # (n_t, n_x)
+    out = np.conj(vals.T)
     return GroupoidKernel(
         flow, f.x_grid, t_grid, out, max(f.support_tol, DERIVED_SUPPORT_TOL)
     )
@@ -306,7 +319,7 @@ def module_mult_left(a, g):
     bad = np.isnan(warped) & mass
     if np.any(bad):
         raise FlowDomainError("left module action needs the flow outside its domain")
-    a_vals = np.asarray(a(np.where(np.isnan(warped), 0.0, warped)), dtype=complex)
+    a_vals = np.asarray(a(np.where(np.isnan(warped), 0.0, warped)))
     a_vals = np.where(np.isnan(warped), 0.0, a_vals)
     return GroupoidKernel(
         g.flow, g.x_grid, g.t_grid, a_vals.T * g.samples, g.support_tol
@@ -315,7 +328,7 @@ def module_mult_left(a, g):
 
 def module_mult_right(g, a):
     """(g.a)(x,t) = a(x) g(x,t)."""
-    a_vals = np.asarray(a(g.x_grid.points), dtype=complex)
+    a_vals = np.asarray(a(g.x_grid.points))
     return GroupoidKernel(
         g.flow, g.x_grid, g.t_grid, a_vals[:, None] * g.samples, g.support_tol
     )

@@ -53,6 +53,16 @@ def test_missing_config_is_usage_error(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", ["k_values=[2.5]", "trials=abc"])
+def test_non_integer_config_is_bad_config(tmp_path, capsys, override):
+    # a fractional k would hang verify-flow inside the ODE solver
+    out = str(tmp_path / "never.json")
+    code = main(["verify-flow", "--override", override, "--out", out])
+    assert code == 2
+    assert not os.path.exists(out)
+    assert "error: bad config" in capsys.readouterr().err
+
+
 def test_classify_cli_roundtrip(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     out = str(tmp_path / "classify.json")

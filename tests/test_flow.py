@@ -240,6 +240,12 @@ def test_model_validation():
         FlowModel(2, "typo")
 
 
+def test_model_requires_integer_order():
+    with pytest.raises(ValueError):
+        FlowModel(2.5)
+    assert FlowModel(np.int64(2)) == FlowModel(2)
+
+
 # ---------------------------------------------------------------------------
 # identity checks
 # ---------------------------------------------------------------------------

@@ -134,6 +134,83 @@ def test_adjoint_antimultiplicative(k):
     assert np.max(np.abs(lhs.samples - rhs.samples)) <= 1e-6 * lhs.sup_norm()
 
 
+def adjoint_column_loop(f):
+    """The adjoint column by column: the full x-interpolant at each output
+    time, of which only the mirrored column is kept."""
+    t_grid = GridSpec(-f.t_grid.end, f.t_grid.step, f.t_grid.count)
+    warped = flow_eval_many(f.flow, t_grid.points, f.x_grid.points)
+    spline = f._x_spline()  # extrapolate=False: NaN off the window
+    out = np.empty((f.x_grid.count, t_grid.count), dtype=complex)
+    for j in range(t_grid.count):
+        x = warped[j]
+        vals = spline(np.where(np.isnan(x), f.x_grid.start, x))[:, f.t_grid.count - 1 - j]
+        vals[np.isnan(x)] = 0.0  # off the flow domain
+        out[:, j] = np.conj(np.nan_to_num(vals, nan=0.0))
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("complex_kernel", [False, True])
+def test_adjoint_matches_column_loop(k, complex_kernel):
+    # the long t-window sends warps off the x-window for every k and, for
+    # k >= 2, off the flow domain (NaN rows)
+    model = FlowModel(k)
+    f = make_kernel(
+        model,
+        lambda X, T: mollifier(X, 0.3)
+        * mollifier(T, 0.4)
+        * (1 + X)
+        * (np.exp(0.7j * T) if complex_kernel else 1.0),
+        x_radius=0.5,
+        x_step=0.01,
+        t_radius=2.0,
+        t_step=0.05,
+    )
+    assert np.iscomplexobj(f.samples) == complex_kernel
+    warped = flow_eval_many(model, f.t_grid.points, f.x_grid.points)
+    assert np.any(warped > f.x_grid.end)
+    assert np.any(np.isnan(warped)) == (k >= 2)
+    # at t = 0 the warped point is the window end itself
+    j0 = int(np.argmin(np.abs(f.t_grid.points)))
+    assert f.t_grid.points[j0] == 0.0 and warped[j0, -1] == f.x_grid.end
+    want = adjoint_column_loop(f)
+    got = adjoint(f).samples
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_kernels_keep_sample_dtype():
+    model = FlowModel(2)
+    ident = BaseFn.identity()
+    f = make_kernel(model, lambda X, T: mollifier(X, 0.3) * mollifier(T, 0.4) * (1 + X))
+    g = GroupoidKernel.separable(
+        model, f.x_grid, f.t_grid, lambda x: mollifier(x, 0.3), lambda t: mollifier(t, 0.4)
+    )
+    real = [
+        f,
+        g,
+        convolve(f, g),
+        adjoint(f),
+        module_mult_left(ident, f),
+        module_mult_right(f, ident),
+        scale_by_delta(f),
+    ]
+    assert all(h.samples.dtype == np.float64 for h in real)
+
+    z = f.scale(1j)
+    cplx = [
+        z,
+        convolve(z, g),
+        convolve(g, z),
+        adjoint(z),
+        module_mult_left(ident, z),
+        module_mult_right(z, ident),
+        scale_by_delta(z),
+    ]
+    assert all(h.samples.dtype == np.complex128 for h in cplx)
+    want = -1j * adjoint(f).samples
+    assert np.max(np.abs(adjoint(z).samples - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_adjoint_is_t_reflection_when_flow_negligible():
     # order-5 field on |x| <= 0.05 moves points by less than 1e-6, so the
     # adjoint reduces to conjugation plus t-reflection
