@@ -17,6 +17,7 @@ import concurrent.futures
 import copy
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -73,19 +74,32 @@ def _deep_update(base, extra):
 
 def _validate_config(cfg):
     grid = cfg["grid"]
-    if grid["x_step"] <= 0 or grid["t_step"] <= 0:
-        raise ValueError("grid steps must be positive")
-    if grid["x_radius"] <= 0 or grid["t_radius"] <= 0:
-        raise ValueError("grid radii must be positive")
-    if not _is_positive_int(cfg["trials"]):
+    if not isinstance(grid, dict):
+        raise ValueError("grid must be an object")
+    for key in ("x_step", "t_step", "x_radius", "t_radius"):
+        if not _is_positive_real(grid.get(key)):
+            raise ValueError(f"grid.{key} must be a finite positive number")
+    tolerances = cfg["tolerances"]
+    if not isinstance(tolerances, dict) or not all(map(_is_positive_real, tolerances.values())):
+        raise ValueError("tolerances must map names to finite positive numbers")
+    if not _is_int(cfg["trials"], 1):
         raise ValueError("trials must be a positive integer")
     k_values = cfg["k_values"]
-    if not isinstance(k_values, list) or not all(_is_positive_int(k) for k in k_values):
+    if not isinstance(k_values, list) or not all(_is_int(k, 1) for k in k_values):
         raise ValueError("k_values must be a list of positive integers")
+    if not _is_int(cfg["max_jet_order"], 0):
+        raise ValueError("max_jet_order must be a non-negative integer")
+    if not _is_int(cfg["seed"], 0):
+        raise ValueError("seed must be a non-negative integer")
 
 
-def _is_positive_int(value):
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+def _is_int(value, least):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def _is_positive_real(value):
+    # int/float only (bool and str excluded); the chained comparison also rejects nan
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value < math.inf
 
 
 def _check_rng(cfg, name):

@@ -29,7 +29,7 @@ import json
 import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -217,13 +217,6 @@ def flow_derivative_many(model, ts, xs):
 # ---------------------------------------------------------------------------
 
 
-def _rising(a, j):
-    out = 1.0
-    for i in range(j):
-        out *= a + i
-    return out
-
-
 def taylor_flow_power(k, n, m):
     """Coefficient of x^m in (phi_t(x))^n for the monomial flow, k >= 2.
 
@@ -241,9 +234,10 @@ def taylor_flow_power(k, n, m):
     if d % (k - 1) != 0:
         return np.zeros(1)
     j = d // (k - 1)
-    c = _rising(n / (k - 1), j) * (k - 1) ** j / factorial(j)
     out = np.zeros(j + 1)
-    out[j] = c
+    # rising(n/(k-1), j) (k-1)^j = n (n + k-1) ... (n + (j-1)(k-1)): an integer,
+    # so one correctly rounded division gives the coefficient
+    out[j] = prod(range(n, n + j * (k - 1), k - 1)) / factorial(j)
     return out
 
 
@@ -262,7 +256,7 @@ class FlowCoeff:
         return np.exp(self.rate * t)
 
     def is_zero(self):
-        return self.kind == "poly" and not np.any(np.asarray(self.poly))
+        return self.kind == "poly" and not any(self.poly)
 
     def apply(self, f):
         """Pointwise-multiply a coefficient function by this entry."""

@@ -35,6 +35,11 @@ from .flow import FlowTaylorTable
 ORDER_CONVENTION = "quotient by x^(p+1) == jets of truncation order p"
 
 
+def _zero_like(c):
+    """The zero coefficient in c's representation (a GridFn keeps its grid)."""
+    return GaussPolyFn.zero() if isinstance(c, GaussPolyFn) else c.scale(0.0)
+
+
 class Jet:
     """A truncated series with p+1 coefficient functions and flow order k."""
 
@@ -54,20 +59,13 @@ class Jet:
 
     @classmethod
     def zero(cls, k, p, like=None):
-        if like is None or isinstance(like, GaussPolyFn):
-            z = GaussPolyFn.zero()
-            return cls(k, [z] * (p + 1))
-        zero = like.scale(0.0)
+        zero = GaussPolyFn.zero() if like is None else _zero_like(like)
         return cls(k, [zero] * (p + 1))
 
     @classmethod
     def from_coefficient(cls, k, f, p):
         """The degree-0 jet (f, 0, ..., 0) of truncation order p."""
-        if isinstance(f, GaussPolyFn):
-            pad = GaussPolyFn.zero()
-        else:
-            pad = f.scale(0.0)
-        return cls(k, [f] + [pad] * p)
+        return cls(k, [f] + [_zero_like(f)] * p)
 
     def table(self):
         if self._table is None or self._table.m_max < self.p:
@@ -159,11 +157,7 @@ def x_mult_right(f):
     """(f x): shift coefficients up one degree and truncate."""
     if f.p < 1:
         raise ValueError("x-multiplication needs truncation order p >= 1")
-    if isinstance(f.coeffs[0], GaussPolyFn):
-        pad = GaussPolyFn.zero()
-    else:
-        pad = f.coeffs[0].scale(0.0)
-    return Jet(f.k, [pad] + f.coeffs[: f.p], f._table)
+    return Jet(f.k, [_zero_like(f.coeffs[0])] + f.coeffs[: f.p], f._table)
 
 
 def x_mult_left(f):
@@ -172,10 +166,7 @@ def x_mult_left(f):
         raise ValueError("x-multiplication needs truncation order p >= 1")
     table = f.table()
     out = [None] * (f.p + 1)
-    if isinstance(f.coeffs[0], GaussPolyFn):
-        pad = GaussPolyFn.zero()
-    else:
-        pad = f.coeffs[0].scale(0.0)
+    pad = _zero_like(f.coeffs[0])
     out[0] = pad
     for q in range(1, f.p + 1):
         acc = None

@@ -63,6 +63,19 @@ def test_non_integer_config_is_bad_config(tmp_path, capsys, override):
     assert "error: bad config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "override",
+    ["grid.x_step=abc", "max_jet_order=abc", "max_jet_order=-1", "seed=abc", "grid=3"],
+)
+def test_mistyped_config_is_bad_config(tmp_path, capsys, override):
+    # each of these used to escape validation and exit 1 with a traceback
+    out = str(tmp_path / "never.json")
+    code = main(["classify", "--override", override, "--out", out])
+    assert code == 2
+    assert not os.path.exists(out)
+    assert "error: bad config" in capsys.readouterr().err
+
+
 def test_classify_cli_roundtrip(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     out = str(tmp_path / "classify.json")

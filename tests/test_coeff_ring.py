@@ -70,6 +70,49 @@ def test_random_atom_convolution_matches_quadrature(rng):
         np.testing.assert_allclose(h(ts), quad_convolve(f, g, ts), atol=1e-8)
 
 
+@pytest.mark.parametrize("real", [True, False])
+def test_convolution_is_bitwise_commutative(rng, real):
+    for _ in range(20):
+        f = random_gauss_poly(rng, n_atoms=2, max_degree=3, real=real)
+        g = random_gauss_poly(rng, n_atoms=2, max_degree=3, real=real)
+        assert f.convolve(g).atoms == g.convolve(f).atoms
+    # equal (mean, variance): the coefficients decide the operand order
+    f = GaussPolyFn([GaussAtom((1.0, 2.0), 0.5, 1.0)])
+    g = GaussPolyFn([GaussAtom((1j, -3.0), 0.5, 1.0)])
+    assert f.convolve(g).atoms == g.convolve(f).atoms
+
+
+def _random_atom(rng, degree, real):
+    coeffs = rng.uniform(-1.0, 1.0, degree + 1)
+    if not real:
+        coeffs = coeffs + 1j * rng.uniform(-1.0, 1.0, degree + 1)
+    return GaussAtom(tuple(coeffs.tolist()), float(rng.uniform(-2, 2)), float(rng.uniform(0.5, 2)))
+
+
+def test_atom_convolution_matches_mpmath_quadrature(rng):
+    # 20-digit quadrature of the defining integral, split at the centre of
+    # the Gaussian product, for degrees up to 6, real and complex
+    mpmath = pytest.importorskip("mpmath")
+
+    def as_mp(atom):
+        coeffs = [mpmath.mpmathify(c) for c in reversed(atom.poly)]
+        return lambda u: mpmath.polyval(coeffs, u) * mpmath.exp(
+            -((u - atom.mean) ** 2) / (2 * atom.variance)
+        )
+
+    with mpmath.mp.workdps(20):
+        for real in (True, True, False, False):
+            a = _random_atom(rng, 6, real)
+            b = _random_atom(rng, int(rng.integers(0, 7)), real)
+            h = GaussPolyFn([a]).convolve(GaussPolyFn([b]))
+            fa, fb = as_mp(a), as_mp(b)
+            peak = h.sup_norm()
+            for t in (a.mean + b.mean + rng.uniform(-3, 3, 2)).tolist():
+                centre = (b.variance * (t - a.mean) + a.variance * b.mean) / (a.variance + b.variance)
+                want = mpmath.quad(lambda s: fa(t - s) * fb(s), [-mpmath.inf, centre, mpmath.inf])
+                assert abs(complex(h(t)) - complex(want)) <= 1e-12 * peak
+
+
 def test_mul_by_t_definition():
     f = GaussPolyFn.gaussian()
     g = f.mul_by_t()

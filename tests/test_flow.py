@@ -106,6 +106,22 @@ def test_taylor_flow_power_matches_ode_series_oracle(k):
             np.testing.assert_allclose(a, b, atol=1e-12)
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_taylor_flow_power_matches_sympy_series(k):
+    # exact rational series of the closed-form flow; every float the library
+    # returns must be the correctly rounded rational, zeros included
+    sp = pytest.importorskip("sympy")
+    x, t = sp.symbols("x t")
+    phi = x * (1 - (k - 1) * t * x ** (k - 1)) ** sp.Rational(-1, k - 1)
+    for n in (1, 2, 3):
+        series = sp.expand(sp.series(phi**n, x, 0, 9).removeO())
+        for m in range(n, 9):
+            want = sp.Poly(series.coeff(x, m), t).all_coeffs()[::-1]
+            got = taylor_flow_power(k, n, m).tolist()
+            want = [float(c) for c in want] + [0.0] * (len(got) - len(want))
+            assert got == want, (n, m)
+
+
 def test_taylor_flow_power_binomial_identity_k2():
     from math import comb
 

@@ -171,6 +171,18 @@ def test_commutator_vanishes_below_flow_order(rng):
             assert commutator(f, g).sup_norm() <= 1e-10
 
 
+@pytest.mark.parametrize("real", [True, False])
+def test_commutator_below_flow_order_is_exactly_zero(rng, real):
+    # a*b and b*a agree bit for bit, so the commutator cancels atom by atom
+    for k in (1, 2, 3):
+        for q in range(k):
+            f, g = (
+                Jet(k, [random_gauss_poly(rng, n_atoms=2, max_degree=3, real=real) for _ in range(q + 1)])
+                for _ in range(2)
+            )
+            assert all(c.is_zero() for c in commutator(f, g).coeffs)
+
+
 def test_commutator_witness_value():
     b, c, z = gaussian_pair()
     f = Jet(2, [z, b, z])
