@@ -7,7 +7,6 @@ from .coeff_ring import (
     GridFn,
     GridMismatchError,
     RepresentationMismatchError,
-    approx_eq,
     random_gauss_poly,
 )
 from .flow import (
@@ -25,7 +24,6 @@ from .flow import (
     taylor_flow_power,
 )
 from .groupoid_conv import (
-    BaseFn,
     GridSpec,
     GroupoidKernel,
     adjoint,
@@ -49,7 +47,6 @@ from .wiener_hopf import (
     cayley_gram_matrix,
     finite_section_kernel_counts,
     flow_bi_index,
-    fourier_transform_line,
     fourier_transform_values,
     generator_hat_closed_form,
     generator_kernel,

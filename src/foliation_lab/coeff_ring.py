@@ -4,7 +4,7 @@ Two interchangeable representations are provided:
 
 ``GridFn``
     a function sampled on a uniform grid, zero outside the sampled window;
-    convolution is discrete quadrature (direct or FFT-accelerated).
+    convolution is FFT-accelerated discrete quadrature.
 
 ``GaussPolyFn``
     an exact finite sum of atoms ``p(t) * exp(-(t - mean)^2 / (2*variance))``
@@ -29,9 +29,6 @@ we treat them as effectively compact.
 
 from __future__ import annotations
 
-import csv
-import io
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, pi, prod, sqrt
@@ -42,9 +39,6 @@ from scipy.interpolate import CubicSpline
 from scipy.signal import fftconvolve
 
 DEFAULT_SUPPORT_TOL = 1e-10
-DEFAULT_EQ_TOL = 1e-8
-
-_BINARY_MAGIC = b"GFN1"
 
 
 class RepresentationMismatchError(TypeError):
@@ -90,10 +84,6 @@ class GridFn:
         t = t_start + t_step * np.arange(count)
         return cls(t_start, t_step, np.asarray(fn(t), dtype=complex), **kw)
 
-    @classmethod
-    def zero(cls, t_start=-1.0, t_step=1.0, count=3):
-        return cls(t_start, t_step, np.zeros(count, dtype=complex))
-
     @property
     def count(self):
         return self.samples.size
@@ -129,19 +119,14 @@ class GridFn:
         if abs(off - round(off)) > 1e-9:
             raise GridMismatchError("grid offsets are not commensurable")
 
-    def convolve(self, other, method="fft"):
+    def convolve(self, other):
         """(f*g)(t) = integral f(t-s) g(s) ds by discrete quadrature.
 
         Endpoint samples vanish by the support invariant, so the plain
         Riemann sum coincides with the trapezoid rule.
         """
         self._check_compatible(other)
-        if method == "fft":
-            conv = fftconvolve(self.samples, other.samples)
-        elif method == "direct":
-            conv = np.convolve(self.samples, other.samples)
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        conv = fftconvolve(self.samples, other.samples)
         return GridFn(self.t_start + other.t_start, self.t_step, conv * self.t_step)
 
     def mul_by_t(self):
@@ -184,62 +169,10 @@ class GridFn:
     def __neg__(self):
         return self.scale(-1.0)
 
-    # -- norms and comparison --------------------------------------------------
+    # -- norms ---------------------------------------------------------------
 
     def sup_norm(self):
         return float(np.max(np.abs(self.samples)))
-
-    def l1_norm(self):
-        return float(np.trapezoid(np.abs(self.samples), dx=self.t_step))
-
-    def l2_norm(self):
-        return float(sqrt(np.trapezoid(np.abs(self.samples) ** 2, dx=self.t_step)))
-
-    def resample(self, t_start, t_step, count):
-        """Cubic-interpolate onto a new grid (zero outside the old window)."""
-        t = t_start + t_step * np.arange(count)
-        return GridFn(t_start, t_step, self(t))
-
-    # -- serialization ---------------------------------------------------------
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "re", "im"])
-            for t, v in zip(self.t_grid, self.samples):
-                writer.writerow([repr(float(t)), repr(float(v.real)), repr(float(v.imag))])
-
-    @classmethod
-    def from_csv(cls, path):
-        ts, vals = [], []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)  # header
-            for row in reader:
-                ts.append(float(row[0]))
-                vals.append(complex(float(row[1]), float(row[2])))
-        ts = np.asarray(ts)
-        step = ts[1] - ts[0] if len(ts) > 1 else 1.0
-        return cls(ts[0], step, np.asarray(vals))
-
-    def to_binary(self):
-        """Little-endian record: magic, t_start, t_step, count, re/im pairs."""
-        buf = io.BytesIO()
-        buf.write(_BINARY_MAGIC)
-        buf.write(struct.pack("<ddq", self.t_start, self.t_step, self.count))
-        inter = np.empty(2 * self.count)
-        inter[0::2] = self.samples.real
-        inter[1::2] = self.samples.imag
-        buf.write(inter.astype("<f8").tobytes())
-        return buf.getvalue()
-
-    @classmethod
-    def from_binary(cls, data):
-        if data[:4] != _BINARY_MAGIC:
-            raise ValueError("not a GridFn binary record")
-        t_start, t_step, count = struct.unpack_from("<ddq", data, 4)
-        inter = np.frombuffer(data, dtype="<f8", count=2 * count, offset=4 + 24)
-        return cls(t_start, t_step, inter[0::2] + 1j * inter[1::2])
 
     def __repr__(self):
         return (
@@ -472,14 +405,10 @@ class GaussPolyFn:
         t = t_start + t_step * np.arange(count)
         return GridFn(t_start, t_step, self(t), **kw)
 
-    def _dense_grid(self, n=4001):
-        lo, hi = self.support_window()
-        return np.linspace(lo, hi, n)
-
     def sup_norm(self):
         if not self.atoms:
             return 0.0
-        t = self._dense_grid()
+        t = np.linspace(*self.support_window(), 4001)
         vals = np.abs(self(t))
         best = float(np.max(vals))
         # refine around the coarse argmax
@@ -495,91 +424,18 @@ class GaussPolyFn:
             hi = local[min(j + 2, 80)]
         return best
 
-    def l1_norm(self):
-        if not self.atoms:
-            return 0.0
-        t = self._dense_grid()
-        return float(np.trapezoid(np.abs(self(t)), t))
-
-    def l2_norm(self):
-        if not self.atoms:
-            return 0.0
-        t = self._dense_grid()
-        return float(sqrt(np.trapezoid(np.abs(self(t)) ** 2, t)))
-
-    # -- serialization ---------------------------------------------------------
-
-    def to_dict(self):
-        return {
-            "type": "gauss_poly",
-            "atoms": [
-                {
-                    "poly_re": [float(np.real(c)) for c in a.poly],
-                    "poly_im": [float(np.imag(c)) for c in a.poly],
-                    "mean": a.mean,
-                    "variance": a.variance,
-                }
-                for a in self.atoms
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        atoms = []
-        for a in d["atoms"]:
-            poly = np.asarray(a["poly_re"], dtype=complex) + 1j * np.asarray(a["poly_im"])
-            if np.all(poly.imag == 0):
-                poly = poly.real
-            atoms.append(GaussAtom(tuple(poly.tolist()), a["mean"], a["variance"]))
-        return cls(atoms)
-
     def __repr__(self):
         return f"GaussPolyFn(n_atoms={len(self.atoms)})"
 
 
-# ---------------------------------------------------------------------------
-# comparison across representations
-# ---------------------------------------------------------------------------
-
-
-def _common_grid(f, g, n_min=2001):
-    if isinstance(f, GridFn) and isinstance(g, GridFn):
-        step = min(f.t_step, g.t_step)
-        lo = min(f.t_start, g.t_start)
-        hi = max(f.t_end, g.t_end)
-    else:
-        windows = []
-        for h in (f, g):
-            if isinstance(h, GridFn):
-                windows.append((h.t_start, h.t_end))
-            else:
-                windows.append(h.support_window())
-        lo = min(w[0] for w in windows)
-        hi = max(w[1] for w in windows)
-        step = (hi - lo) / (n_min - 1)
-        if isinstance(f, GridFn):
-            step = min(step, f.t_step)
-        if isinstance(g, GridFn):
-            step = min(step, g.t_step)
-    count = int(round((hi - lo) / step)) + 1
-    return lo, step, count
-
-
-def approx_eq(f, g, tol=DEFAULT_EQ_TOL, reference=None):
-    """Compare in sup norm on a common grid, relative to the operand scale.
-
-    ``reference`` overrides the denominator; two zero functions compare equal.
-    """
-    lo, step, count = _common_grid(f, g)
-    t = lo + step * np.arange(count)
-    fv = f(t)
-    gv = g(t)
-    diff = float(np.max(np.abs(fv - gv)))
-    if reference is None:
-        reference = max(float(np.max(np.abs(fv))), float(np.max(np.abs(gv))))
-    if reference == 0.0:
-        return True
-    return diff <= tol * reference
+def _bump(u, radius):
+    """Smooth bump exp(1 - 1/(1 - (u/radius)^2)) on |u| < radius, 0 outside;
+    the one mollifier of the suites and the non-preservation demo."""
+    u = np.asarray(u, dtype=float)
+    out = np.zeros_like(u)
+    inside = np.abs(u) < radius
+    out[inside] = np.exp(1.0 - 1.0 / (1.0 - (u[inside] / radius) ** 2))
+    return out
 
 
 def random_gauss_poly(rng, n_atoms=1, max_degree=2, real=True):

@@ -25,9 +25,8 @@ phi_m^n.
 
 from __future__ import annotations
 
-import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, prod
 
@@ -93,18 +92,22 @@ class FlowModel:
         return (self.k - 1) * t * x ** (self.k - 1) < 1.0
 
 
-def _monomial_flow(k, t, x):
-    if k == 1:
-        return np.exp(t) * x
-    base = 1.0 - (k - 1) * t * x ** (k - 1)
-    return x * base ** (-1.0 / (k - 1))
+def _monomial_power(model, t, x, a):
+    """base^(-a/(k-1)) with base = 1 - (k-1) t x^(k-1) for the monomial flow
+    (t signed by the model), NaN where base <= 0, i.e. off the domain; the
+    k = 1 limit is e^(a t).
 
-
-def _monomial_flow_derivative(k, t, x):
+    Delta = phi_t(x)/x is a = 1, phi_t'(x) is a = k and phi_t(x) = x Delta.
+    t broadcasts against x; scalar arguments keep scalar arithmetic, whose
+    rounding differs from numpy's vectorized power.
+    """
+    t = model.sign * t
+    k = model.k
     if k == 1:
-        return np.exp(t) * np.ones_like(np.asarray(x, dtype=float))
+        return np.exp(a * t) * np.ones_like(x)
     base = 1.0 - (k - 1) * t * x ** (k - 1)
-    return base ** (-k / (k - 1))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(base > 0, np.abs(base) ** (-a / (k - 1)), np.nan)
 
 
 def _rescaled_flow_many(model, ts, xs, with_derivative=False):
@@ -154,29 +157,28 @@ def _rescaled_flow_many(model, ts, xs, with_derivative=False):
     return (vals, derivs) if with_derivative else vals
 
 
-def flow_eval(model, t, x):
-    """phi_t(x) for a scalar pair; raises FlowDomainError outside the domain."""
+def _require_domain(model, t, x):
     if not np.all(model.in_domain(t, x)):
         raise FlowDomainError(
             f"(x={x}, t={t}) outside the domain of the order-{model.k} monomial flow"
         )
-    t_eff = model.sign * t
+
+
+def flow_eval(model, t, x):
+    """phi_t(x) for a scalar pair; raises FlowDomainError outside the domain."""
+    _require_domain(model, t, x)
     if model.variant == MONOMIAL:
-        return float(_monomial_flow(model.k, t_eff, x))
-    return float(_rescaled_flow_many(model, [t_eff], np.atleast_1d(float(x)))[0, 0])
+        return float(x * _monomial_power(model, t, x, 1))
+    return float(_rescaled_flow_many(model, [model.sign * t], np.atleast_1d(float(x)))[0, 0])
 
 
 def flow_derivative(model, t, x):
     """Spatial derivative d phi_t / dx at (t, x)."""
-    if not np.all(model.in_domain(t, x)):
-        raise FlowDomainError(
-            f"(x={x}, t={t}) outside the domain of the order-{model.k} monomial flow"
-        )
-    t_eff = model.sign * t
+    _require_domain(model, t, x)
     if model.variant == MONOMIAL:
-        return float(_monomial_flow_derivative(model.k, t_eff, x))
+        return float(_monomial_power(model, t, x, model.k))
     _, d = _rescaled_flow_many(
-        model, [t_eff], np.atleast_1d(float(x)), with_derivative=True
+        model, [model.sign * t], np.atleast_1d(float(x)), with_derivative=True
     )
     return float(d[0, 0])
 
@@ -185,30 +187,17 @@ def flow_eval_many(model, ts, xs):
     """phi_t(x) on the grid ts x xs; inadmissible entries become NaN."""
     ts = np.asarray(ts, dtype=float)
     xs = np.asarray(xs, dtype=float)
-    t_eff = model.sign * ts
     if model.variant == MONOMIAL:
-        T, X = np.meshgrid(t_eff, xs, indexing="ij")
-        if model.k == 1:
-            return np.exp(T) * X
-        base = 1.0 - (model.k - 1) * T * X ** (model.k - 1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.where(base > 0, X * np.abs(base) ** (-1.0 / (model.k - 1)), np.nan)
-        return out
-    return _rescaled_flow_many(model, t_eff, xs)
+        return xs * _monomial_power(model, ts[:, None], xs, 1)
+    return _rescaled_flow_many(model, model.sign * ts, xs)
 
 
 def flow_derivative_many(model, ts, xs):
     ts = np.asarray(ts, dtype=float)
     xs = np.asarray(xs, dtype=float)
-    t_eff = model.sign * ts
     if model.variant == MONOMIAL:
-        T, X = np.meshgrid(t_eff, xs, indexing="ij")
-        if model.k == 1:
-            return np.exp(T) * np.ones_like(X)
-        base = 1.0 - (model.k - 1) * T * X ** (model.k - 1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(base > 0, np.abs(base) ** (-model.k / (model.k - 1)), np.nan)
-    _, d = _rescaled_flow_many(model, t_eff, xs, with_derivative=True)
+        return _monomial_power(model, ts[:, None], xs, model.k)
+    _, d = _rescaled_flow_many(model, model.sign * ts, xs, with_derivative=True)
     return d
 
 
@@ -271,11 +260,8 @@ class FlowTaylorTable:
 
     k: int
     m_max: int = DEFAULT_M_MAX
-    entries: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        if self.entries:
-            return
         entries = {}
         for n in range(self.m_max + 1):
             for m in range(n, self.m_max + 1):
@@ -294,31 +280,6 @@ class FlowTaylorTable:
             raise ValueError(f"(n={n}, m={m}) outside table range m_max={self.m_max}")
         return self.entries[(n, m)]
 
-    def value(self, n, m, t):
-        return self.coeff(n, m)(t)
-
-    def to_json(self):
-        items = []
-        for (n, m), c in sorted(self.entries.items()):
-            rec = {"n": n, "m": m}
-            if c.kind == "poly":
-                rec["poly_coeffs"] = list(c.poly)
-            else:
-                rec["exp_rate"] = c.rate
-            items.append(rec)
-        return json.dumps({"k": self.k, "M_max": self.m_max, "entries": items})
-
-    @classmethod
-    def from_json(cls, text):
-        d = json.loads(text)
-        entries = {}
-        for rec in d["entries"]:
-            if "poly_coeffs" in rec:
-                entries[(rec["n"], rec["m"])] = FlowCoeff("poly", poly=tuple(rec["poly_coeffs"]))
-            else:
-                entries[(rec["n"], rec["m"])] = FlowCoeff("exp", rate=rec["exp_rate"])
-        return cls(k=d["k"], m_max=d["M_max"], entries=entries)
-
 
 # ---------------------------------------------------------------------------
 # cocycles
@@ -330,23 +291,25 @@ def cocycle_delta(model, x, t):
 
     For the monomial flow the extension is (1 - (k-1) t x^(k-1))^(-1/(k-1))
     (e^t when k = 1); for the rescaled field it is
-    (h(x)/h(phi_t(x)) * phi_t'(x))^(1/k) with h the rescaling factor.
+    (h(x)/h(phi_t(x)) * phi_t'(x))^(1/k) with h the rescaling factor, which
+    at x = 0 takes the monomial value since h(0) = 1.
     """
-    if not np.all(model.in_domain(t, x)):
-        raise FlowDomainError(f"(x={x}, t={t}) outside the flow domain")
-    t_eff = model.sign * t
-    k = model.k
+    _require_domain(model, t, x)
+    if model.variant == MONOMIAL or x == 0.0:
+        return float(_monomial_power(model, t, x, 1))
+    return flow_eval(model, t, x) / x
+
+
+def cocycle_delta_many(model, ts, xs):
+    """Delta on the grid ts x xs, as ``cocycle_delta``; NaN off the domain."""
+    ts = np.asarray(ts, dtype=float)
+    xs = np.asarray(xs, dtype=float)
     if model.variant == MONOMIAL:
-        if k == 1:
-            return float(np.exp(t_eff))
-        base = 1.0 - (k - 1) * t_eff * x ** (k - 1)
-        return float(base ** (-1.0 / (k - 1)))
-    if x != 0.0:
-        return flow_eval(model, t, x) / x
-    if k == 1:
-        return float(np.exp(t_eff))
-    # h(0) = h(phi_t(0)) = 1 and phi_t'(0) = 1 for k >= 2
-    return 1.0
+        return _monomial_power(model, ts[:, None], xs, 1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        delta = flow_eval_many(model, ts, xs) / xs
+    delta[:, xs == 0.0] = _monomial_power(model, ts[:, None], 0.0, 1)
+    return delta
 
 
 def beta_cocycle(model, x, t):

@@ -25,10 +25,6 @@ every operation, and a result is complex only when an input is.
 
 from __future__ import annotations
 
-import csv
-import io
-import struct
-
 import numpy as np
 from scipy.interpolate import CubicSpline
 
@@ -36,15 +32,11 @@ from .coeff_ring import DEFAULT_SUPPORT_TOL, GridFn
 from .flow import (
     FlowDomainError,
     FlowModel,
-    cocycle_delta,
+    cocycle_delta_many,
     flow_derivative_many,
     flow_eval_many,
 )
 from .jet_algebra import Jet
-
-_BINARY_MAGIC = b"GKN1"
-_VARIANT_CODES = {"monomial": 0, "complete_rescaled": 1}
-_VARIANT_NAMES = {v: k for k, v in _VARIANT_CODES.items()}
 
 # kernels produced by interpolating operations carry cubic-interpolation
 # ringing off the support edge; their boundary check allows for it
@@ -85,50 +77,6 @@ class GridSpec(tuple):
     @property
     def points(self):
         return self.start + self.step * np.arange(self.count)
-
-
-class BaseFn:
-    """A smooth function of the base coordinate x acting as a multiplier."""
-
-    def __init__(self, kind, fn, data=None):
-        self.kind = kind
-        self._fn = fn
-        self.data = data
-
-    @classmethod
-    def identity(cls):
-        return cls("identity", lambda x: np.asarray(x, dtype=float))
-
-    @classmethod
-    def power(cls, p):
-        return cls("power", lambda x: np.asarray(x, dtype=float) ** p, data=p)
-
-    @classmethod
-    def constant(cls, c=1.0):
-        return cls("constant", lambda x: np.full_like(np.asarray(x, dtype=float), c, dtype=complex), data=c)
-
-    @classmethod
-    def bump(cls, radius=1.0, center=0.0):
-        def fn(x):
-            u = (np.asarray(x, dtype=float) - center) / radius
-            out = np.zeros_like(u)
-            inside = np.abs(u) < 1.0
-            out[inside] = np.exp(1.0 - 1.0 / (1.0 - u[inside] ** 2))
-            return out
-
-        return cls("bump", fn, data=(radius, center))
-
-    @classmethod
-    def from_samples(cls, x_nodes, values):
-        spline = CubicSpline(np.asarray(x_nodes, dtype=float), np.asarray(values))
-        return cls("sampled", spline, data=(np.asarray(x_nodes), np.asarray(values)))
-
-    @classmethod
-    def from_callable(cls, fn, label="callable"):
-        return cls(label, fn)
-
-    def __call__(self, x):
-        return self._fn(x)
 
 
 class GroupoidKernel:
@@ -312,7 +260,7 @@ def adjoint(f):
 
 
 def module_mult_left(a, g):
-    """(a.g)(x,t) = a(phi_t(x)) g(x,t) for a base multiplier a."""
+    """(a.g)(x,t) = a(phi_t(x)) g(x,t) for a callable a of the base coordinate."""
     warped = flow_eval_many(g.flow, g.t_grid.points, g.x_grid.points)  # (n_t, n_x)
     tol = g.support_tol * max(g.sup_norm(), 1.0)
     mass = np.abs(g.samples.T) > tol
@@ -336,24 +284,7 @@ def module_mult_right(g, a):
 
 def scale_by_delta(g):
     """Pointwise multiply by the cocycle Delta(x,t) = phi_t(x)/x (extended)."""
-    xs = g.x_grid.points
-    ts = g.t_grid.points
-    model = g.flow
-    k = model.k
-    if model.variant == "monomial":
-        t_eff = model.sign * ts
-        if k == 1:
-            vals = np.broadcast_to(np.exp(t_eff)[None, :], g.samples.shape).copy()
-        else:
-            base = 1.0 - (k - 1) * t_eff[None, :] * xs[:, None] ** (k - 1)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                vals = np.where(base > 0, np.abs(base) ** (-1.0 / (k - 1)), np.nan)
-    else:
-        phi = flow_eval_many(model, ts, xs).T  # (n_x, n_t)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            vals = phi / xs[:, None]
-        zero_rows = xs == 0.0
-        vals[zero_rows, :] = np.exp(model.sign * ts)[None, :] if k == 1 else 1.0
+    vals = cocycle_delta_many(g.flow, g.t_grid.points, g.x_grid.points).T  # (n_x, n_t)
     tol = g.support_tol * max(g.sup_norm(), 1.0)
     if np.any(np.isnan(vals) & (np.abs(g.samples) > tol)):
         raise FlowDomainError("cocycle scaling needs the flow outside its domain")
@@ -413,55 +344,3 @@ def l1_as_norm(f):
         return np.trapezoid(np.abs(kernel.samples) * beta, dx=dt, axis=1)
 
     return float(np.max(np.maximum(weight(f), weight(adjoint(f)))))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def kernel_to_binary(f):
-    buf = io.BytesIO()
-    buf.write(_BINARY_MAGIC)
-    buf.write(
-        struct.pack(
-            "<ddqddqqB",
-            f.x_grid.start,
-            f.x_grid.step,
-            f.x_grid.count,
-            f.t_grid.start,
-            f.t_grid.step,
-            f.t_grid.count,
-            f.flow.k,
-            _VARIANT_CODES[f.flow.variant],
-        )
-    )
-    inter = np.empty(2 * f.samples.size)
-    inter[0::2] = f.samples.real.ravel()
-    inter[1::2] = f.samples.imag.ravel()
-    buf.write(inter.astype("<f8").tobytes())
-    return buf.getvalue()
-
-
-def kernel_from_binary(data):
-    if data[:4] != _BINARY_MAGIC:
-        raise ValueError("not a GroupoidKernel binary record")
-    header = struct.unpack_from("<ddqddqqB", data, 4)
-    x_start, x_step, x_count, t_start, t_step, t_count, k, vcode = header
-    offset = 4 + struct.calcsize("<ddqddqqB")
-    inter = np.frombuffer(data, dtype="<f8", count=2 * x_count * t_count, offset=offset)
-    samples = (inter[0::2] + 1j * inter[1::2]).reshape(x_count, t_count)
-    flow = FlowModel(k, _VARIANT_NAMES[vcode])
-    return GroupoidKernel(flow, (x_start, x_step, x_count), (t_start, t_step, t_count), samples)
-
-
-def kernel_to_csv(f, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "t", "re", "im"])
-        for i, x in enumerate(f.x_grid.points):
-            for j, t in enumerate(f.t_grid.points):
-                v = f.samples[i, j]
-                writer.writerow(
-                    [repr(float(x)), repr(float(t)), repr(float(v.real)), repr(float(v.imag))]
-                )

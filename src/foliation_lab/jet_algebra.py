@@ -25,11 +25,9 @@ whose first nontrivial term reproduces x f = f x + delta(f) x^k at order k
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
-from .coeff_ring import GaussPolyFn, GridFn
+from .coeff_ring import GaussPolyFn, random_gauss_poly
 from .flow import FlowTaylorTable
 
 ORDER_CONVENTION = "quotient by x^(p+1) == jets of truncation order p"
@@ -98,37 +96,6 @@ class Jet:
             raise ValueError(f"flow order mismatch: k={self.k} vs k={other.k}")
         if self.p != other.p:
             raise ValueError(f"truncation order mismatch: p={self.p} vs p={other.p}")
-
-    def to_json(self):
-        coeffs = []
-        for c in self.coeffs:
-            if isinstance(c, GaussPolyFn):
-                coeffs.append(c.to_dict())
-            elif isinstance(c, GridFn):
-                coeffs.append(
-                    {
-                        "type": "grid",
-                        "t_start": c.t_start,
-                        "t_step": c.t_step,
-                        "re": c.samples.real.tolist(),
-                        "im": c.samples.imag.tolist(),
-                    }
-                )
-            else:
-                raise TypeError(f"cannot serialize coefficient of type {type(c)}")
-        return json.dumps({"k": self.k, "p": self.p, "coeffs": coeffs})
-
-    @classmethod
-    def from_json(cls, text):
-        d = json.loads(text)
-        coeffs = []
-        for c in d["coeffs"]:
-            if c["type"] == "gauss_poly":
-                coeffs.append(GaussPolyFn.from_dict(c))
-            else:
-                samples = np.asarray(c["re"]) + 1j * np.asarray(c["im"])
-                coeffs.append(GridFn(c["t_start"], c["t_step"], samples))
-        return cls(d["k"], coeffs)
 
     def __repr__(self):
         rep = type(self.coeffs[0]).__name__
@@ -203,8 +170,6 @@ def commutativity_report(k, max_order, trials=10, seed=0):
     is bounded away from zero, not just nonzero with luck.
     """
     rng = np.random.default_rng(seed)
-    from .coeff_ring import random_gauss_poly
-
     rows = []
     for q in range(max_order + 1):
         worst = 0.0

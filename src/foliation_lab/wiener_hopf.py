@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .coeff_ring import GridFn
+from .coeff_ring import GridFn, _bump
 
 
 class NonFredholmError(ValueError):
@@ -63,10 +63,6 @@ class SymbolLoop:
     def from_circle_function(cls, fn, n=1024, label=""):
         theta = 2.0 * np.pi * np.arange(n) / n
         return cls(fn(np.exp(1j * theta)), kind="circle", label=label)
-
-    @classmethod
-    def from_circle_samples(cls, values, label=""):
-        return cls(values, kind="circle", label=label)
 
     @staticmethod
     def tangent_grid(n):
@@ -208,26 +204,6 @@ def fourier_transform_values(f, s, endpoint_correction=True):
             vals = vals - (h * h / 12.0) * (gp1 - gp0)
         out[i : i + chunk] = vals
     return out
-
-
-def fourier_transform_line(f, n=2048, limit=0.0, label=""):
-    """Sample F f on the compactified grid and return it as a line loop.
-
-    The input must decay within its window (a one-sided cut like the
-    half-line generator is fine); otherwise the windowed integral does not
-    represent the transform and the call is refused.
-    """
-    peak = float(np.max(np.abs(f.samples)))
-    edges = (abs(f.samples[0]), abs(f.samples[-1]))
-    if peak > 0 and min(edges) > 0.1 * peak:
-        raise ValueError(
-            "input does not decay within its window; enlarge the window "
-            "or truncate the support"
-        )
-    s = SymbolLoop.tangent_grid(n)
-    vals = fourier_transform_values(f, s)
-    vals = np.concatenate([[complex(limit)], vals, [complex(limit)]])
-    return SymbolLoop(vals, kind="line", label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +369,6 @@ class FlowBiIndex:
         if self.left not in (-1, 1) or self.right not in (-1, 1):
             raise ValueError("bi-index components must be +1 or -1")
 
-    def as_tuple(self):
-        return (self.left, self.right)
-
 
 def flow_bi_index(model, probe=0.1):
     """Bi-index read off the sign of the generating field near 0.
@@ -489,14 +462,6 @@ class GaussianSpec:
         )
 
 
-def _smooth_bump(x, lo=0.0, hi=2.0):
-    u = (np.asarray(x, dtype=float) - lo) / (hi - lo) * 2.0 - 1.0
-    out = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - u[inside] ** 2))
-    return out
-
-
 def nonpreservation_demo(
     u,
     f1,
@@ -522,7 +487,7 @@ def nonpreservation_demo(
     dx = x[1] - x[0]
     proj = x >= 0.0
 
-    xi0 = _smooth_bump(x)
+    xi0 = _bump(x - 1.0, 1.0)
     xi0 = xi0 / np.sqrt(np.trapezoid(xi0**2, dx=dx))
 
     def conv(kernel_vals, vec):

@@ -1,16 +1,8 @@
 import numpy as np
 import pytest
 
+from foliation_lab.coeff_ring import _bump as mollifier  # noqa: F401  (shared with the suites)
 from foliation_lab.groupoid_conv import GridSpec, GroupoidKernel
-
-
-def mollifier(u, radius):
-    """Smooth bump supported on |u| < radius, peak 1 at 0."""
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    inside = np.abs(u) < radius
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - (u[inside] / radius) ** 2))
-    return out
 
 
 def plateau(u, r_in, r_out):

@@ -121,14 +121,6 @@ def test_reports_deterministic(tmp_path):
     assert r1["checks"] == r2["checks"]
 
 
-def test_threaded_run_matches_serial(tmp_path, monkeypatch):
-    cfg = load_config(None, ["k_values=[2]", "trials=3"])
-    serial = run_suite("verify-flow", cfg)
-    monkeypatch.setenv("FOLIATION_LAB_THREADS", "4")
-    threaded = run_suite("verify-flow", cfg)
-    assert serial["checks"] == threaded["checks"]
-
-
 def test_demo_suite_writes_norm_csv(tmp_path):
     cfg = load_config(None, [])
     out = str(tmp_path / "demo.json")
@@ -158,6 +150,43 @@ def test_failing_check_still_writes_report(tmp_path, monkeypatch):
     assert report["all_passed"] is False
     statuses = {r["name"]: r["status"] for r in report["checks"]}
     assert statuses == {"always_fails": "fail", "always_passes": "pass"}
+
+
+def test_raising_check_becomes_error_record(tmp_path, capsys):
+    # at t-radius 3 three groupoid checks raise in a kernel constructor;
+    # the other five still run and the report is written
+    out = str(tmp_path / "groupoid.json")
+    code = main(
+        ["verify-groupoid", "--override", "grid.t_radius=3", "--override", "k_values=[2]", "--out", out]
+    )
+    assert code == 3
+    report = json.loads(open(out).read())
+    assert len(report["checks"]) == 8
+    errors = {r["name"]: r for r in report["checks"] if r["status"] == "error"}
+    assert set(errors) == {"adjoint_antimultiplicative", "product_kernel_norm", "submultiplicativity"}
+    for rec in errors.values():
+        assert rec["anchor"] and rec["measured"] is None and rec["tolerance"] is None
+        assert rec["error"].startswith("ValueError: ")
+    assert all(r["status"] == "pass" for r in report["checks"] if r["name"] not in errors)
+    assert report["all_passed"] is False
+    assert "[error] submultiplicativity: ValueError: " in capsys.readouterr().out
+
+
+def test_failed_check_outranks_error(tmp_path, monkeypatch):
+    from foliation_lab import cli as cli_mod
+
+    def raises():
+        raise RuntimeError("boom")
+
+    def mixed_suite(cfg):
+        return [raises, lambda: cli_mod._record("always_fails", "plumbing", 1.0, 0.5)]
+
+    monkeypatch.setitem(SUITES, "mixed", mixed_suite)
+    out = str(tmp_path / "mixed.json")
+    assert main(["mixed", "--out", out]) == 1
+    first = json.loads(open(out).read())["checks"][0]
+    assert first["status"] == "error" and first["error"] == "RuntimeError: boom"
+    assert first["name"] == "raises"
 
 
 def test_every_record_carries_anchor(tmp_path):

@@ -15,7 +15,6 @@ from foliation_lab.coeff_ring import (
     GridFn,
     GridMismatchError,
     RepresentationMismatchError,
-    approx_eq,
     random_gauss_poly,
 )
 
@@ -188,9 +187,9 @@ def test_grid_convolution_matches_exact():
 
 def test_grid_convolution_methods_agree():
     g = _sampled_gaussian(step=0.05, radius=8.0)
-    a = g.convolve(g, method="fft")
-    b = g.convolve(g, method="direct")
-    assert np.max(np.abs(a.samples - b.samples)) <= 1e-12
+    a = g.convolve(g)
+    b = np.convolve(g.samples, g.samples) * g.t_step
+    assert np.max(np.abs(a.samples - b)) <= 1e-12
 
 
 def test_grid_convolution_associative_and_commutative(rng):
@@ -232,87 +231,17 @@ def test_grid_support_invariant_enforced():
 
 
 def test_norms_and_examples():
-    assert GaussPolyFn.zero().l1_norm() == 0.0
+    assert GaussPolyFn.zero().sup_norm() == 0.0
     z = GridFn(-1.0, 0.5, np.zeros(5))
-    assert z.l1_norm() == 0.0
+    assert z.sup_norm() == 0.0
     f = GaussPolyFn.gaussian()
     assert abs(f.sup_norm() - 1.0) <= 1e-12
-    assert abs(f.l1_norm() - np.sqrt(2 * np.pi)) <= 1e-6
-    assert abs(f.l2_norm() - np.pi**0.25) <= 1e-6
-
-
-def test_approx_eq_tolerance_semantics(rng):
-    f = random_gauss_poly(rng)
-    f = f.scale(1.0 / f.sup_norm())
-    g = random_gauss_poly(rng)
-    g = g.scale(1.0 / g.sup_norm())
-    assert approx_eq(f, f + g.scale(1e-12), tol=1e-9)
-    assert not approx_eq(f, f + g.scale(1e-3), tol=1e-9)
-    assert approx_eq(GaussPolyFn.zero(), GaussPolyFn.zero())
-
-
-def test_approx_eq_across_representations():
-    f = GaussPolyFn.gaussian()
-    g = f.sample(-12.0, 0.01, 2401)
-    assert approx_eq(f, g, tol=1e-6)
-
-
-def test_approx_eq_reference_and_mixed_steps():
-    f = GaussPolyFn.gaussian()
-    a = f.sample(-12.0, 0.01, 2401)
-    b = f.sample(-12.0, 0.02, 1201)
-    assert approx_eq(a, b, tol=1e-6)
-    tiny = f.scale(1e-7)
-    # against an explicit scale, a tiny function counts as zero
-    assert approx_eq(tiny, GaussPolyFn.zero(), tol=1e-6, reference=1.0)
-    assert not approx_eq(tiny, GaussPolyFn.zero(), tol=1e-8, reference=1.0)
 
 
 def test_samples_are_frozen():
     g = _sampled_gaussian(step=0.05, radius=8.0)
     with pytest.raises(ValueError):
         g.samples[0] = 1.0
-
-
-def test_resample_roundtrip():
-    g = _sampled_gaussian(step=0.02, radius=10.0)
-    r = g.resample(-10.0, 0.01, 2001)
-    back = r.resample(-10.0, 0.02, 1001)
-    assert np.max(np.abs(back.samples - g.samples)) <= 1e-8
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def test_grid_csv_roundtrip(tmp_path):
-    g = _sampled_gaussian(step=0.05, radius=8.0)
-    path = tmp_path / "g.csv"
-    g.to_csv(path)
-    back = GridFn.from_csv(path)
-    assert back.t_start == g.t_start
-    # the step is inferred from row differences, exact only to rounding
-    assert np.isclose(back.t_step, g.t_step, rtol=1e-12)
-    np.testing.assert_array_equal(back.samples, g.samples)
-
-
-def test_grid_binary_roundtrip():
-    g = _sampled_gaussian(step=0.05, radius=8.0)
-    data = g.to_binary()
-    back = GridFn.from_binary(data)
-    assert back.t_start == g.t_start
-    assert back.t_step == g.t_step
-    np.testing.assert_array_equal(back.samples, g.samples)
-    with pytest.raises(ValueError):
-        GridFn.from_binary(b"bogus" + data)
-
-
-def test_gauss_poly_dict_roundtrip(rng):
-    f = random_gauss_poly(rng, n_atoms=3, max_degree=3)
-    back = GaussPolyFn.from_dict(f.to_dict())
-    ts = np.linspace(-6, 6, 101)
-    np.testing.assert_allclose(back(ts), f(ts), rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,6 @@ powers by truncated series multiplication -- a different derivation path
 from the closed-form binomial expansion the library uses.
 """
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,19 +160,6 @@ def test_taylor_table_invariants_and_json():
                     assert table.coeff(n, m).is_zero()
         for m in range(1, 7):
             assert table.coeff(0, m).is_zero()
-        back = FlowTaylorTable.from_json(table.to_json())
-        assert back.k == k
-        for key, c in table.entries.items():
-            assert back.entries[key] == c
-
-
-def test_table_json_schema():
-    doc = json.loads(FlowTaylorTable(2, 3).to_json())
-    assert set(doc) == {"k", "M_max", "entries"}
-    assert all({"n", "m"} <= set(e) for e in doc["entries"])
-    assert any("poly_coeffs" in e for e in doc["entries"])
-    doc1 = json.loads(FlowTaylorTable(1, 2).to_json())
-    assert any("exp_rate" in e for e in doc1["entries"])
 
 
 # ---------------------------------------------------------------------------

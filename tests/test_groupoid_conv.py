@@ -11,14 +11,10 @@ import pytest
 from conftest import make_kernel, mollifier, plateau
 from foliation_lab.flow import COMPLETE_RESCALED, FlowDomainError, FlowModel, flow_eval_many
 from foliation_lab.groupoid_conv import (
-    BaseFn,
     GridSpec,
     GroupoidKernel,
     adjoint,
     convolve,
-    kernel_from_binary,
-    kernel_to_binary,
-    kernel_to_csv,
     l1_as_norm,
     l1_groupoid_norm,
     module_mult_left,
@@ -180,7 +176,7 @@ def test_adjoint_matches_column_loop(k, complex_kernel):
 
 def test_kernels_keep_sample_dtype():
     model = FlowModel(2)
-    ident = BaseFn.identity()
+    ident = lambda x: x
     f = make_kernel(model, lambda X, T: mollifier(X, 0.3) * mollifier(T, 0.4) * (1 + X))
     g = GroupoidKernel.separable(
         model, f.x_grid, f.t_grid, lambda x: mollifier(x, 0.3), lambda t: mollifier(t, 0.4)
@@ -229,11 +225,11 @@ def test_adjoint_is_t_reflection_when_flow_negligible():
 def test_module_actions():
     model = FlowModel(2)
     f, g, a_fn, b_fn, c_fn = separable_pair(model)
-    one = BaseFn.constant(1.0)
+    one = lambda x: np.ones_like(x)
     assert np.max(np.abs(module_mult_left(one, g).samples - g.samples)) == 0.0
     assert np.max(np.abs(module_mult_right(g, one).samples - g.samples)) == 0.0
 
-    ident = BaseFn.identity()
+    ident = lambda x: x
     fg = convolve(f, g)
     lhs = module_mult_left(ident, fg)
     rhs = convolve(module_mult_left(ident, f), g)
@@ -251,22 +247,10 @@ def test_coordinate_exchange_relation():
         f = make_kernel(
             model, lambda X, T: mollifier(X, 0.3) * mollifier(T, 0.4) * (1 + X * T), x_radius=xr
         )
-        ident = BaseFn.identity()
+        ident = lambda x: x
         lhs = module_mult_left(ident, f)
         rhs = module_mult_right(scale_by_delta(f), ident)
         assert np.max(np.abs(lhs.samples - rhs.samples)) <= 1e-8
-
-
-def test_base_fn_kinds():
-    xs = np.linspace(-1, 1, 11)
-    np.testing.assert_allclose(BaseFn.identity()(xs), xs)
-    np.testing.assert_allclose(BaseFn.power(3)(xs), xs**3)
-    np.testing.assert_allclose(BaseFn.bump(radius=0.5)(xs), mollifier(xs, 0.5))
-    sampled = BaseFn.from_samples(xs, xs**2)
-    np.testing.assert_allclose(sampled(np.array([0.35])), [0.1225], atol=1e-12)
-    custom = BaseFn.from_callable(np.sin, label="sin")
-    np.testing.assert_allclose(custom(xs), np.sin(xs))
-    assert custom.kind == "sin"
 
 
 def test_kernel_samples_are_frozen():
@@ -444,35 +428,3 @@ def test_rescaled_variant_convolves():
     )
     gg = convolve(g, g)
     assert np.max(np.abs(fg.samples - gg.samples)) <= 1e-3 * gg.sup_norm()
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def test_binary_roundtrip():
-    f = make_kernel(
-        FlowModel(2), lambda X, T: mollifier(X, 0.3) * mollifier(T, 0.4) * (1 + 1j * X)
-    )
-    back = kernel_from_binary(kernel_to_binary(f))
-    assert back.flow == f.flow
-    assert tuple(back.x_grid) == tuple(f.x_grid)
-    assert tuple(back.t_grid) == tuple(f.t_grid)
-    np.testing.assert_array_equal(back.samples, f.samples)
-    with pytest.raises(ValueError):
-        kernel_from_binary(b"XXXX" + kernel_to_binary(f)[4:])
-
-
-def test_csv_dump(tmp_path):
-    f = make_kernel(
-        FlowModel(2),
-        lambda X, T: mollifier(X, 0.3) * mollifier(T, 0.4),
-        x_step=0.05,
-        t_step=0.1,
-    )
-    path = tmp_path / "kernel.csv"
-    kernel_to_csv(f, path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "x,t,re,im"
-    assert len(rows) == 1 + f.x_grid.count * f.t_grid.count

@@ -6,8 +6,6 @@ b*c at degree 1 and b*(t c) at degree k, and the commutator [f, g] is the
 single coefficient b*(t c) at degree k (k >= 2).
 """
 
-import json
-
 import numpy as np
 import pytest
 
@@ -256,24 +254,3 @@ def test_jet_with_grid_coefficients():
     assert (h.coeffs[2] - want).sup_norm() <= 1e-12
     with pytest.raises(ValueError):
         Jet(2, [b, GaussPolyFn.gaussian()])
-
-
-def test_jet_json_roundtrip(rng):
-    f = Jet(2, [random_gauss_poly(rng, n_atoms=2) for _ in range(3)])
-    doc = json.loads(f.to_json())
-    assert doc["k"] == 2 and doc["p"] == 2 and len(doc["coeffs"]) == 3
-    back = Jet.from_json(f.to_json())
-    ts = np.linspace(-5, 5, 41)
-    for a, b in zip(back.coeffs, f.coeffs):
-        np.testing.assert_allclose(a(ts), b(ts), atol=1e-15)
-
-    def bump(t):
-        out = np.zeros_like(t)
-        inside = np.abs(t) < 0.4
-        out[inside] = np.exp(1 - 1 / (1 - (t[inside] / 0.4) ** 2))
-        return out
-
-    g = GridFn.from_function(bump, -0.5, 0.01, 101)
-    jet = Jet(1, [g, g.scale(2.0)])
-    back = Jet.from_json(jet.to_json())
-    np.testing.assert_allclose(back.coeffs[1].samples, jet.coeffs[1].samples)

@@ -20,7 +20,6 @@ from foliation_lab.wiener_hopf import (
     cayley_gram_matrix,
     finite_section_kernel_counts,
     flow_bi_index,
-    fourier_transform_line,
     fourier_transform_values,
     generator_hat_closed_form,
     generator_kernel,
@@ -59,22 +58,6 @@ def test_transform_of_even_real_function_is_real():
 def test_transform_of_zero():
     z = GridFn(-1.0, 0.1, np.zeros(21))
     assert np.max(np.abs(fourier_transform_values(z, np.linspace(-1, 1, 11)))) == 0.0
-
-
-def test_fourier_transform_line_loop():
-    g = GridFn.from_function(lambda t: np.exp(-(t**2)), -10.0, 0.01, 2001)
-    loop = fourier_transform_line(g, n=512)
-    assert loop.kind == "line"
-    assert loop.values[0] == 0.0  # declared limit at infinity
-    assert winding_number(1.0 + loop) == 0
-
-
-def test_fourier_transform_line_rejects_nondecaying_input():
-    const = GridFn(-1.0, 0.1, np.ones(21), support_tol=np.inf)
-    with pytest.raises(ValueError):
-        fourier_transform_line(const)
-    # a one-sided cut-off kernel is accepted
-    fourier_transform_line(generator_kernel(t_radius=30.0, t_step=0.01), n=256)
 
 
 # ---------------------------------------------------------------------------
@@ -227,16 +210,18 @@ def test_winding_diagnostics_fields():
 
 def test_bi_index_odd_and_even():
     for k in (1, 3, 5):
-        assert flow_bi_index(FlowModel(k)).as_tuple() == (1, 1)
+        idx = flow_bi_index(FlowModel(k))
+        assert (idx.left, idx.right) == (1, 1)
     for k in (2, 4, 6):
-        assert flow_bi_index(FlowModel(k)).as_tuple() == (-1, 1)
+        idx = flow_bi_index(FlowModel(k))
+        assert (idx.left, idx.right) == (-1, 1)
 
 
 def test_bi_index_time_reversal_negates():
     for k in (1, 2, 3):
         fwd = flow_bi_index(FlowModel(k))
         rev = flow_bi_index(FlowModel(k, time_reversed=True))
-        assert rev.as_tuple() == (-fwd.left, -fwd.right)
+        assert (rev.left, rev.right) == (-fwd.left, -fwd.right)
 
 
 def test_bi_index_variant_invariance():
