@@ -164,7 +164,6 @@ def _random_kernel(model, xg, tg, rng):
 def suite_verify_coeff(cfg):
     trials = cfg["trials"]
     tol_exact = 1e-12
-    checks = []
 
     def gaussian_self_convolution():
         f = GaussPolyFn.gaussian()

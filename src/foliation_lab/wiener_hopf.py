@@ -27,9 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
-from .coeff_ring import GridFn, _bump
+from .coeff_ring import GridFn, _bump, _fft_convolve
 
 
 class NonFredholmError(ValueError):
@@ -491,7 +490,9 @@ def nonpreservation_demo(
     xi0 = xi0 / np.sqrt(np.trapezoid(xi0**2, dx=dx))
 
     def conv(kernel_vals, vec):
-        return fftconvolve(vec, kernel_vals, mode="same") * dx
+        # the len(vec) middle of the full convolution (scipy's mode="same")
+        start = (len(kernel_vals) - 1) // 2
+        return _fft_convolve(vec, kernel_vals)[start : start + len(vec)] * dx
 
     # convolution kernels on a symmetric window around 0
     kt = np.arange(-len(x) // 2, len(x) // 2 + 1) * dx

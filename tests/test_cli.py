@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -197,3 +199,13 @@ def test_every_record_carries_anchor(tmp_path):
         report = run_suite(suite, cfg)
         for rec in report["checks"]:
             assert isinstance(rec["anchor"], str) and rec["anchor"]
+
+
+def test_cli_import_loads_no_scipy_signal():
+    # a fresh interpreter, because the FFT oracle test loads scipy.signal into this one
+    code = (
+        "import sys, foliation_lab.cli; "
+        "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"

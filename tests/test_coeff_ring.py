@@ -15,6 +15,7 @@ from foliation_lab.coeff_ring import (
     GridFn,
     GridMismatchError,
     RepresentationMismatchError,
+    _fft_convolve,
     random_gauss_poly,
 )
 
@@ -190,6 +191,29 @@ def test_grid_convolution_methods_agree():
     a = g.convolve(g)
     b = np.convolve(g.samples, g.samples) * g.t_step
     assert np.max(np.abs(a.samples - b)) <= 1e-12
+
+
+@pytest.mark.parametrize("complex_a,complex_b", [(False, False), (True, False), (True, True)])
+@pytest.mark.parametrize("len_a,len_b", [(1, 1), (3, 3), (7, 4), (64, 33), (300, 301), (1000, 999)])
+def test_fft_convolve_matches_scipy(rng, len_a, len_b, complex_a, complex_b):
+    from scipy.signal import fftconvolve  # the oracle; the package does not load scipy.signal
+
+    def draw(n, cplx):
+        x = rng.standard_normal(n)
+        return x + 1j * rng.standard_normal(n) if cplx else x
+
+    a, b = draw(len_a, complex_a), draw(len_b, complex_b)
+    full = _fft_convolve(a, b)
+    want = fftconvolve(a, b)
+    assert full.shape == want.shape
+    assert np.max(np.abs(full - want)) <= 1e-12 * np.max(np.abs(want))
+    if not (complex_a or complex_b):
+        assert full.dtype == np.float64
+    # the centred slice nonpreservation_demo takes, which is scipy's mode="same"
+    start = (len_b - 1) // 2
+    same = full[start : start + len_a]
+    want = fftconvolve(a, b, mode="same")
+    assert np.max(np.abs(same - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_grid_convolution_associative_and_commutative(rng):
