@@ -5,7 +5,9 @@ Two interchangeable representations are provided:
 ``GridFn``
     a function sampled on a uniform grid, zero outside the sampled window;
     convolution is discrete quadrature through a zero-padded ``numpy.fft``
-    product (``_fft_convolve``).
+    product (``_fft_convolve``), and evaluation off the grid is the
+    not-a-knot cubic spline of ``_spline_coeffs``, which the groupoid
+    kernels share.
 
 ``GaussPolyFn``
     an exact finite sum of atoms ``p(t) * exp(-(t - mean)^2 / (2*variance))``
@@ -36,7 +38,6 @@ from math import comb, pi, prod, sqrt
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.interpolate import CubicSpline
 
 DEFAULT_SUPPORT_TOL = 1e-10
 
@@ -54,21 +55,104 @@ class GridMismatchError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _fft_convolve(a, b):
-    """Full linear convolution of two 1-d arrays, length ``len(a) + len(b) - 1``.
+def _fft_plan(n, real):
+    """Padded length and transform pair for a linear convolution of length n.
 
-    Both operands are zero-padded to at least that length, so the cyclic
-    product of the transforms is the linear one.  The padded length is the
-    shortest of ``2^p``, ``3 * 2^p`` and ``5 * 2^p``: a length with a large
-    prime factor is slow, and a plain power of two can cost twice the work.
-    Two real operands go through ``rfft`` and give a real (``float64``)
-    result; otherwise it is complex.
+    Both operands are zero-padded to at least n, so the cyclic product of
+    the transforms is the linear one.  The padded length is the shortest of
+    ``2^p``, ``3 * 2^p`` and ``5 * 2^p``: a length with a large prime factor
+    is slow, and a plain power of two can cost twice the work.  Real
+    operands (``real``) go through ``rfft`` and give a real (``float64``)
+    result; otherwise the pair is ``fft``/``ifft``.
     """
-    n = a.size + b.size - 1
     size = min(m << (-(-n // m) - 1).bit_length() for m in (1, 3, 5))
-    if np.isrealobj(a) and np.isrealobj(b):
-        return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
-    return np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(b, size))[:n]
+    if real:
+        return size, np.fft.rfft, lambda spectrum: np.fft.irfft(spectrum, size)
+    return size, np.fft.fft, np.fft.ifft
+
+
+def _fft_convolve(a, b):
+    """Full linear convolution of two 1-d arrays, length ``len(a) + len(b) - 1``."""
+    n = a.size + b.size - 1
+    size, forward, inverse = _fft_plan(n, np.isrealobj(a) and np.isrealobj(b))
+    return inverse(forward(a, size) * forward(b, size))[:n]
+
+
+def _spline_coeffs(x, y):
+    """The not-a-knot cubic spline through (x, y), along axis 0 of y.
+
+    Returns the piecewise coefficients as ``scipy.interpolate.CubicSpline``
+    stores them: an array ``c`` of shape ``(4, len(x) - 1) + y.shape[1:]``,
+    piece i being ``sum_m c[m, i] (s - x[i])^(3 - m)``.  The node slopes
+    solve the tridiagonal system CubicSpline builds, with its two not-a-knot
+    end rows, by elimination along x vectorized over the trailing axes, with
+    per-interval steps.  On a uniform grid each pivot outweighs the entry
+    below it, so LAPACK's gtsv, which CubicSpline calls, swaps no rows
+    either, and the coefficients agree with CubicSpline's bit for bit.  Two
+    or three nodes give the interpolating line or parabola, as in
+    CubicSpline.
+    """
+    n = x.size
+    dx = np.diff(x)
+    dxr = dx.reshape((-1,) + (1,) * (y.ndim - 1))
+    slope = np.diff(y, axis=0) / dxr
+    if n < 4:
+        bend = (slope[-1] - slope[0]) / (x[-1] - x[0])
+        s = slope[0] + bend * (2.0 * x.reshape((-1,) + dxr.shape[1:]) - x[0] - x[1])
+    else:
+        diag = np.concatenate(([dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]])).tolist()
+        upper = [x[2] - x[0]] + dx[:-1].tolist()
+        lower = dx[1:].tolist() + [x[-1] - x[-3]]
+        s = np.empty(y.shape, dtype=slope.dtype)
+        s[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+        d = x[2] - x[0]
+        s[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
+        d = x[-1] - x[-3]
+        s[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
+        # the matrix is real, so complex right-hand sides are eliminated as
+        # their real and imaginary parts, as zgtsv's arithmetic does
+        rows = list(s.reshape(n, -1).view(float))
+        for i in range(n - 1):
+            fact = lower[i] / diag[i]
+            diag[i + 1] -= fact * upper[i]
+            rows[i + 1] -= fact * rows[i]
+        rows[-1] /= diag[-1]
+        for i in range(n - 2, -1, -1):
+            rows[i] -= upper[i] * rows[i + 1]
+            rows[i] /= diag[i]
+    # the Hermite coefficients from values and slopes, as CubicHermiteSpline
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    return np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
+
+
+def _spline_eval(x, c, at, cols=None):
+    """Evaluate the spline with nodes x and coefficients c at the points
+    ``at`` by one Horner pass: 0 outside [x[0], x[-1]] and at NaN.
+
+    Without ``cols`` each point gets every trailing column of c, so the
+    result has shape ``at.shape + c.shape[2:]``.  With ``cols``
+    (broadcastable to ``at``) each point is evaluated in its own column of
+    c's last axis only.  Intervals are found as CubicSpline finds them: the
+    window end falls in the last one.
+    """
+    outside = ~((at >= x[0]) & (at <= x[-1]))
+    at = np.where(outside, x[0], at)
+    idx = np.clip(np.searchsorted(x, at, side="right") - 1, 0, x.size - 2)
+    dx = at - x[idx]
+    if cols is None:
+        pick = (idx,)
+        dx = dx.reshape(dx.shape + (1,) * (c.ndim - 2))
+    else:
+        pick = (idx, cols)
+    # ((c0 dx + c1) dx + c2) dx + c3, in place
+    vals = c[(0, *pick)] * dx
+    vals += c[(1, *pick)]
+    vals *= dx
+    vals += c[(2, *pick)]
+    vals *= dx
+    vals += c[(3, *pick)]
+    vals[outside] = 0.0
+    return vals
 
 
 class GridFn:
@@ -116,9 +200,8 @@ class GridFn:
     def __call__(self, t):
         """Evaluate by cubic interpolation, zero outside the window."""
         t = np.asarray(t, dtype=float)
-        spl = CubicSpline(self.t_grid, self.samples, extrapolate=False)
-        out = spl(t)
-        return np.where(np.isnan(out), 0.0, out)
+        grid = self.t_grid
+        return _spline_eval(grid, _spline_coeffs(grid, self.samples), t.ravel()).reshape(t.shape)
 
     # -- ring operations -----------------------------------------------------
 

@@ -13,7 +13,10 @@ module implements:
 
 Quadrature is the trapezoid rule on the t-grid; values of f at the off-grid
 points (phi_s(x), t-s) come from cubic interpolation along x (the t argument
-stays on-grid because both operands share one t-step).  Products get an
+stays on-grid because both operands share one t-step).  The interpolant is
+the not-a-knot cubic spline of ``coeff_ring._spline_coeffs``, evaluated by
+``coeff_ring._spline_eval``; for each quadrature node the convolution
+evaluates it only on the rows where g's column is nonzero.  Products get an
 enlarged t-window equal to the sum of the operand windows; the x-window is
 unchanged.  The adjoint needs f at (phi_tau(x), -tau) only, so for each output
 time it evaluates the x-interpolant of the one mirrored column, straight from
@@ -26,9 +29,8 @@ every operation, and a result is complex only when an input is.
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .coeff_ring import DEFAULT_SUPPORT_TOL, GridFn
+from .coeff_ring import DEFAULT_SUPPORT_TOL, GridFn, _spline_coeffs, _spline_eval
 from .flow import (
     FlowDomainError,
     FlowModel,
@@ -171,33 +173,6 @@ class GroupoidKernel:
         if abs(self.t_grid.step - other.t_grid.step) > 1e-12 * self.t_grid.step:
             raise ValueError("t-step mismatch")
 
-    def _x_spline(self):
-        return CubicSpline(self.x_grid.points, self.samples, axis=0, extrapolate=False)
-
-    def _sample_warped(self, spline, x_warp, cols=None):
-        """Evaluate the x-interpolant at warped positions; 0 outside window,
-        0 at NaN positions (inadmissible points carrying no mass).
-
-        Without ``cols`` every column is evaluated at each point, giving a
-        trailing t-axis.  With ``cols`` (broadcastable to the shape of
-        ``x_warp``) each point is evaluated in its own column only, by one
-        Horner pass over the spline's piecewise coefficients.
-        """
-        outside = np.isnan(x_warp) | (x_warp < self.x_grid.start) | (x_warp > self.x_grid.end)
-        x_warp = np.where(outside, self.x_grid.start, x_warp)
-        if cols is None:
-            vals = spline(x_warp)
-        else:
-            # interval lookup as PPoly does it: the window end falls in the
-            # last interval
-            nodes = spline.x
-            idx = np.clip(np.searchsorted(nodes, x_warp, side="right") - 1, 0, nodes.size - 2)
-            dx = x_warp - nodes[idx]
-            c = spline.c[:, idx, cols]
-            vals = ((c[0] * dx + c[1]) * dx + c[2]) * dx + c[3]
-        vals[outside] = 0.0
-        return vals
-
 
 def convolve(f, g):
     """(f*g)(x,t) = integral f(phi_s(x), t-s) g(x,s) ds on the shared grid.
@@ -217,7 +192,7 @@ def convolve(f, g):
 
     peak = max(g.sup_norm(), 1.0)
     tol = min(g.support_tol, DERIVED_SUPPORT_TOL) * peak
-    spline = f._x_spline()
+    spline = _spline_coeffs(xs, f.samples)
     trap_w = np.ones(g.t_grid.count)
     trap_w[0] = trap_w[-1] = 0.5
 
@@ -232,8 +207,10 @@ def convolve(f, g):
                 f"convolution quadrature leaves the flow domain at "
                 f"s={s_vals[l]:g}, x={xs[bad][0]:g}"
             )
-        f_slab = f._sample_warped(spline, warped[l])  # (n_x, n_t_f)
-        out[:, l : l + f.t_grid.count] += (trap_w[l] * dt) * f_slab * g_col[:, None]
+        # a row where g is exactly zero would add exactly zero
+        rows = np.flatnonzero(g_col)
+        f_slab = _spline_eval(xs, spline, warped[l, rows])  # (n_rows, n_t_f)
+        out[rows, l : l + f.t_grid.count] += (trap_w[l] * dt) * f_slab * g_col[rows, None]
 
     t_grid = GridSpec(f.t_grid.start + g.t_grid.start, dt, n_out)
     return GroupoidKernel(flow, f.x_grid, t_grid, out, f.support_tol)
@@ -247,12 +224,13 @@ def adjoint(f):
     of the result raises if mass actually lands on an inadmissible row.
     """
     flow = f.flow
+    xs = f.x_grid.points
     t_grid = GridSpec(-f.t_grid.end, f.t_grid.step, f.t_grid.count)
-    warped = flow_eval_many(flow, t_grid.points, f.x_grid.points)  # (n_t, n_x)
+    warped = flow_eval_many(flow, t_grid.points, xs)  # (n_t, n_x)
 
     # f at (phi_tau(x), -tau); -tau is the mirrored on-grid column
     mirrored = np.arange(t_grid.count)[::-1, None]
-    vals = f._sample_warped(f._x_spline(), warped, cols=mirrored)  # (n_t, n_x)
+    vals = _spline_eval(xs, _spline_coeffs(xs, f.samples), warped, cols=mirrored)  # (n_t, n_x)
     out = np.conj(vals.T)
     return GroupoidKernel(
         flow, f.x_grid, t_grid, out, max(f.support_tol, DERIVED_SUPPORT_TOL)

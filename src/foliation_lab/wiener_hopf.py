@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeff_ring import GridFn, _bump, _fft_convolve
+from .coeff_ring import GridFn, _bump, _fft_plan
 
 
 class NonFredholmError(ValueError):
@@ -489,15 +489,21 @@ def nonpreservation_demo(
     xi0 = _bump(x - 1.0, 1.0)
     xi0 = xi0 / np.sqrt(np.trapezoid(xi0**2, dx=dx))
 
-    def conv(kernel_vals, vec):
-        # the len(vec) middle of the full convolution (scipy's mode="same")
-        start = (len(kernel_vals) - 1) // 2
-        return _fft_convolve(vec, kernel_vals)[start : start + len(vec)] * dx
+    def convolver(spec):
+        """vec -> the len(vec) middle of its full convolution with the kernel
+        of spec (scipy's mode="same"); the kernel is transformed once."""
+        if spec is None:
+            return np.zeros_like
+        # the kernel on a symmetric window around 0
+        kernel = spec.transform_values(np.arange(-len(x) // 2, len(x) // 2 + 1) * dx)
+        start = (len(kernel) - 1) // 2
+        # every vector convolved here is real
+        size, forward, inverse = _fft_plan(len(x) + len(kernel) - 1, np.isrealobj(kernel))
+        kernel_hat = forward(kernel, size)
+        return lambda vec: inverse(forward(vec, size) * kernel_hat)[start : start + len(vec)] * dx
 
-    # convolution kernels on a symmetric window around 0
-    kt = np.arange(-len(x) // 2, len(x) // 2 + 1) * dx
-    k1 = f1.transform_values(kt) if f1 is not None else None
-    k2 = f2.transform_values(kt) if f2 is not None else None
+    conv1 = convolver(f1)
+    conv2 = convolver(f2)
 
     du_x = np.asarray(u.du(x), dtype=float)
     if np.any(du_x <= 0):
@@ -513,11 +519,11 @@ def nonpreservation_demo(
         else:
             xi_n[:] = xi0
 
-        t1 = conv(k1, xi_n * proj) if k1 is not None else np.zeros_like(xi_n)
+        t1 = conv1(xi_n * proj)
 
         # U xi_n, T2, then back through U^{-1}
         u_xi = np.sqrt(du_x) * np.interp(ux, x, xi_n, left=0.0, right=0.0)
-        t2u = conv(k2, u_xi * proj) if k2 is not None else np.zeros_like(u_xi)
+        t2u = conv2(u_xi * proj)
         xinv = u.inverse(x)
         du_inv = np.asarray(u.du(xinv), dtype=float)
         pullback = np.interp(xinv, x, t2u, left=0.0, right=0.0) / np.sqrt(du_inv)

@@ -209,3 +209,16 @@ def test_cli_import_loads_no_scipy_signal():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter, because the oracle tests load scipy into this one;
+    # verify-flow and verify-groupoid run the rescaled flow and the spline
+    code = (
+        "import sys, foliation_lab.cli as cli; "
+        "cfg = cli.load_config(None, ['k_values=[2]']); "
+        "[cli.run_suite(name, cfg) for name in ('verify-flow', 'verify-groupoid')]; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300, check=True)
+    assert out.stdout.strip() == "[]"

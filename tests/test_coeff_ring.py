@@ -16,8 +16,10 @@ from foliation_lab.coeff_ring import (
     GridMismatchError,
     RepresentationMismatchError,
     _fft_convolve,
+    _spline_coeffs,
     random_gauss_poly,
 )
+from foliation_lab.cli import _grids, load_config
 
 
 def quad_convolve(f, g, ts, s_window=40.0, n=200001):
@@ -214,6 +216,55 @@ def test_fft_convolve_matches_scipy(rng, len_a, len_b, complex_a, complex_b):
     same = full[start : start + len_a]
     want = fftconvolve(a, b, mode="same")
     assert np.max(np.abs(same - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "overrides,k",
+    [((), 1), ((), 2), (("grid.x_step=0.002", "grid.t_step=0.01", "k_values=[2]"), 2)],
+    ids=["default-k1", "default-k2", "refined"],
+)
+@pytest.mark.parametrize("cplx", [False, True])
+def test_spline_coeffs_match_cubic_spline(rng, overrides, k, cplx):
+    # on the x-grids verify-groupoid builds kernels on, one sample column per t
+    from scipy.interpolate import CubicSpline  # the oracle; the package does not load scipy
+
+    xg, tg = _grids(load_config(None, list(overrides)), k)
+    x = xg.points
+    y = rng.standard_normal((x.size, tg.count))
+    if cplx:
+        y = y + 1j * rng.standard_normal(y.shape)
+    got = _spline_coeffs(x, y)
+    want = CubicSpline(x, y, axis=0).c
+    assert got.shape == want.shape and got.dtype == want.dtype
+    if cplx:
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    else:
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("count", [2, 3, 4, 401])
+def test_gridfn_call_matches_cubic_spline(rng, count):
+    from scipy.interpolate import CubicSpline  # the oracle
+
+    t_start, t_step = -2.0, 4.0 / (count - 1)
+    samples = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    f = GridFn(t_start, t_step, samples, support_tol=np.inf)  # nonzero at the window ends
+    end = f.t_end
+    ts = np.concatenate(
+        [
+            rng.uniform(t_start, end, 50),
+            f.t_grid,  # the nodes, the window ends among them
+            [t_start - 1e-12, end + 1e-12, -3.0, 3.0, np.nan],  # outside: 0
+        ]
+    )
+    want = CubicSpline(f.t_grid, samples, extrapolate=False)(ts)
+    want = np.where(np.isnan(want), 0.0, want)
+    got = f(ts)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(samples))
+    assert np.all(got[-5:] == 0.0)
+    # the shape follows the argument, a scalar included
+    assert f(ts.reshape(-1, 1)).shape == (ts.size, 1)
+    assert f(ts[0]).shape == () and f(ts[0]) == got[0]
 
 
 def test_grid_convolution_associative_and_commutative(rng):

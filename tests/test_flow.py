@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from foliation_lab import flow
 from foliation_lab.flow import (
     COMPLETE_RESCALED,
     MONOMIAL,
@@ -25,6 +26,7 @@ from foliation_lab.flow import (
     cocycle_delta,
     flow_derivative,
     flow_eval,
+    flow_eval_many,
     taylor_flow_power,
 )
 
@@ -232,6 +234,100 @@ def test_time_reversed_model():
     rev = FlowModel(2, time_reversed=True)
     assert flow_eval(rev, 0.5, 0.3) == pytest.approx(flow_eval(fwd, -0.5, 0.3), rel=1e-13)
     assert rev.vector_field(0.3) == -fwd.vector_field(0.3)
+
+
+# ---------------------------------------------------------------------------
+# the rescaled flow's time map against ODE oracles
+# ---------------------------------------------------------------------------
+
+
+def rescaled_field(k, sign):
+    """sign * x^k (1+x^2)^(-(k-1)/2), written out here rather than taken
+    from the model."""
+    return lambda _, y: sign * y**k * (1.0 + y * y) ** (-(k - 1) / 2.0)
+
+
+def dop853_flow(k, sign, ts, xs):
+    """phi_t(x) on ts x xs by DOP853 at rtol 1e-12: one solve per time sign,
+    every x integrated as one vector system."""
+    out = np.empty((ts.size, xs.size))
+    for direction in (1.0, -1.0):
+        sel = ts * direction >= 0
+        sol = flow.solve_ivp(
+            rescaled_field(k, sign),
+            (0.0, direction * np.max(np.abs(ts))),
+            xs,
+            method="DOP853",
+            rtol=1e-12,
+            atol=1e-300,
+            dense_output=True,
+        )
+        assert sol.success
+        out[sel] = sol.sol(ts[sel]).T
+    return out
+
+
+@pytest.mark.parametrize("time_reversed", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_rescaled_flow_matches_dop853(rng, k, time_reversed):
+    model = FlowModel(k, COMPLETE_RESCALED, time_reversed=time_reversed)
+    xs = rng.uniform(0.01, 2.0, 12) * rng.choice([-1.0, 1.0], 12)
+    ts = np.sort(np.concatenate([rng.uniform(-3.0, 3.0, 9), [-3.0, 3.0]]))
+    want = dop853_flow(k, -1.0 if time_reversed else 1.0, ts, xs)
+    got = flow_eval_many(model, ts, xs)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
+    for i, j in ((0, 0), (3, 5), (ts.size - 1, xs.size - 1)):
+        assert abs(flow_eval(model, ts[i], xs[j]) - want[i, j]) <= 1e-10 * abs(want[i, j])
+
+
+@pytest.mark.parametrize("k,x,t", [(2, 0.3, 1.7), (5, -1.3, -2.2), (6, 0.05, 2.9)])
+def test_rescaled_flow_matches_mpmath_ode(k, x, t):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        # mpmath integrates forward only, so a negative time runs the
+        # negated field for |t|
+        sign = 1 if t >= 0 else -1
+        field = lambda _, y: sign * y**k * (1 + y * y) ** (-mp.mpf(k - 1) / 2)
+        want = mp.odefun(field, 0, mp.mpf(x))(mp.mpf(abs(t)))
+        err = abs((flow_eval(FlowModel(k, COMPLETE_RESCALED), t, x) - want) / want)
+    assert err <= 1e-13
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6])
+def test_rescaled_derivative_matches_variational_ode(k):
+    model = FlowModel(k, COMPLETE_RESCALED)
+    field = rescaled_field(k, 1.0)
+
+    def rhs(s, y):
+        x, w = y
+        # d/dx of x^k (1+x^2)^(-(k-1)/2), then the variational equation w' = v'(x) w
+        dv = (1.0 + x * x) ** (-(k + 1) / 2.0) * (k * x ** (k - 1) + x ** (k + 1))
+        return [field(s, x), dv * w]
+
+    for x, t in ((0.4, 1.5), (-1.2, -2.0), (1.9, 0.7), (-0.05, 2.5)):
+        sol = flow.solve_ivp(rhs, (0.0, t), [x, 1.0], method="DOP853", rtol=1e-12, atol=1e-300)
+        want = sol.y[1, -1]
+        assert abs(flow_derivative(model, t, x) - want) <= 1e-9 * abs(want)
+    # at the fixed point the variational equation is w' = v'(0) w
+    assert flow_derivative(model, 0.8, 0.0) == (np.exp(0.8) if k == 1 else 1.0)
+
+
+def test_rescaled_flow_raises_at_nan_within_the_step_bound(monkeypatch):
+    clock = flow._rescaled_clock
+    calls = []
+
+    def counted(k, z):
+        calls.append(1)
+        return clock(k, z)
+
+    monkeypatch.setattr(flow, "_rescaled_clock", counted)
+    model = FlowModel(3, COMPLETE_RESCALED)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        flow_eval(model, 0.5, float("nan"))
+    # one clock reading for the start, one per Newton step
+    assert len(calls) == 1 + flow.NEWTON_MAX_STEPS
+    with pytest.raises(RuntimeError):
+        flow_eval_many(model, np.array([0.1, 0.2]), np.array([0.3, np.nan]))
 
 
 def test_model_validation():

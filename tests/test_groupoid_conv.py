@@ -135,7 +135,9 @@ def adjoint_column_loop(f):
     time, of which only the mirrored column is kept."""
     t_grid = GridSpec(-f.t_grid.end, f.t_grid.step, f.t_grid.count)
     warped = flow_eval_many(f.flow, t_grid.points, f.x_grid.points)
-    spline = f._x_spline()  # extrapolate=False: NaN off the window
+    from scipy.interpolate import CubicSpline  # the oracle; the package does not load scipy
+
+    spline = CubicSpline(f.x_grid.points, f.samples, axis=0, extrapolate=False)  # NaN off the window
     out = np.empty((f.x_grid.count, t_grid.count), dtype=complex)
     for j in range(t_grid.count):
         x = warped[j]
