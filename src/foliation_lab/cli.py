@@ -316,8 +316,7 @@ def suite_verify_flow(cfg):
             for n in range(0, 7):
                 for m in range(n, 7):
                     ts = rng.uniform(-1.0, 1.0, (100, 2))
-                    for t, s in ts:
-                        worst = max(worst, flow.check_cocycle_identity(k, n, m, t, s))
+                    worst = max(worst, flow.check_cocycle_identity(k, n, m, ts[:, 0], ts[:, 1]))
         return _record(
             "flow_power_cocycle_identity",
             "cocycle identity for flow Taylor coefficients",

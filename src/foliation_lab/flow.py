@@ -355,13 +355,14 @@ def _cached_table(k, m_max):
 
 
 def check_cocycle_identity(k, n, m, t, s):
-    """|phi_m^n(t) - sum_i phi_m^i(t-s) phi_i^n(s)| at the given arguments."""
+    """max |phi_m^n(t) - sum_i phi_m^i(t-s) phi_i^n(s)| over t and s, which
+    broadcast; each point's residual is the one a scalar call gives."""
     table = _cached_table(k, max(m, DEFAULT_M_MAX))
     lhs = table.coeff(n, m)(t)
     rhs = 0.0
     for i in range(n, m + 1):
         rhs += table.coeff(i, m)(t - s) * table.coeff(n, i)(s)
-    return float(abs(lhs - rhs))
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 # small truncated-series helpers (scalar coefficients, index = power of x)

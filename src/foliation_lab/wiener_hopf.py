@@ -174,35 +174,39 @@ def winding_diagnostics(loop, min_modulus=1e-12):
 def fourier_transform_values(f, s, endpoint_correction=True):
     """F f at the points s by corrected trapezoid quadrature on f's grid.
 
+    With B = ceil(sqrt(n)) and t_j = t0 + (a B + b) h, the phase factors as
+    exp(-2 pi i s (t0 + a B h)) exp(-2 pi i s b h), so the trapezoid sum is one
+    (S x B)(B x A) contraction with w y zero-padded to A B: 2 S sqrt(n)
+    exponentials, not S n.  It is an ``einsum``, which unlike BLAS runs on one
+    thread; the values differ from the direct sum only by rounding.
+
     The endpoint correction subtracts h^2/12 (g'(end) - g'(start)) with g the
     integrand, which restores O(h^4) accuracy when f is cut off or kinked at
     a window endpoint (one-sided second-order differences estimate f' there).
     """
-    if isinstance(f, GridFn):
-        t = f.t_grid
-        y = f.samples
-        h = f.t_step
-    else:
+    if not isinstance(f, GridFn):
         raise TypeError("fourier_transform_values expects a GridFn")
+    y = f.samples
+    h = f.t_step
+    n = y.size
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    out = np.empty(s.shape, dtype=complex)
-    w = np.ones(t.size)
-    w[0] = w[-1] = 0.5
-    if endpoint_correction and t.size >= 3:
+    block = int(np.ceil(np.sqrt(n)))
+    blocks = -(-n // block)
+    wy = np.zeros(blocks * block, dtype=complex)
+    wy[:n] = y
+    wy[0] = 0.5 * y[0]
+    wy[n - 1] = 0.5 * y[-1]
+    outer = np.exp(-2j * np.pi * s[:, None] * (f.t_start + block * h * np.arange(blocks)))
+    inner = np.exp(-2j * np.pi * s[:, None] * (h * np.arange(block)))
+    vals = np.sum(outer * np.einsum("sb,ab->sa", inner, wy.reshape(blocks, block)), axis=1) * h
+    if endpoint_correction and n >= 3:
         d0 = (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * h)
         d1 = (3.0 * y[-1] - 4.0 * y[-2] + y[-3]) / (2.0 * h)
-    chunk = max(1, int(2e6 // t.size))
-    for i in range(0, s.size, chunk):
-        sb = s[i : i + chunk, None]
-        phase = np.exp(-2j * np.pi * sb * t[None, :])
-        vals = (phase * (w * y)[None, :]).sum(axis=1) * h
-        if endpoint_correction and t.size >= 3:
-            twopis = 2j * np.pi * sb[:, 0]
-            gp0 = (d0 - twopis * y[0]) * np.exp(-2j * np.pi * sb[:, 0] * t[0])
-            gp1 = (d1 - twopis * y[-1]) * np.exp(-2j * np.pi * sb[:, 0] * t[-1])
-            vals = vals - (h * h / 12.0) * (gp1 - gp0)
-        out[i : i + chunk] = vals
-    return out
+        twopis = 2j * np.pi * s
+        gp0 = (d0 - twopis * y[0]) * np.exp(-2j * np.pi * s * f.t_start)
+        gp1 = (d1 - twopis * y[-1]) * np.exp(-2j * np.pi * s * f.t_end)
+        vals = vals - (h * h / 12.0) * (gp1 - gp0)
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +513,9 @@ def nonpreservation_demo(
     if np.any(du_x <= 0):
         raise ValueError("u is not orientation-preserving on the grid")
     ux = np.asarray(u.u(x), dtype=float)
+    sqrt_du_x = np.sqrt(du_x)
+    xinv = u.inverse(x)
+    sqrt_du_inv = np.sqrt(np.asarray(u.du(xinv), dtype=float))
 
     records = []
     for n in range(n_max + 1):
@@ -522,11 +529,9 @@ def nonpreservation_demo(
         t1 = conv1(xi_n * proj)
 
         # U xi_n, T2, then back through U^{-1}
-        u_xi = np.sqrt(du_x) * np.interp(ux, x, xi_n, left=0.0, right=0.0)
+        u_xi = sqrt_du_x * np.interp(ux, x, xi_n, left=0.0, right=0.0)
         t2u = conv2(u_xi * proj)
-        xinv = u.inverse(x)
-        du_inv = np.asarray(u.du(xinv), dtype=float)
-        pullback = np.interp(xinv, x, t2u, left=0.0, right=0.0) / np.sqrt(du_inv)
+        pullback = np.interp(xinv, x, t2u, left=0.0, right=0.0) / sqrt_du_inv
 
         diff = t1 - pullback
         records.append(

@@ -398,6 +398,25 @@ def test_cocycle_identity_property(k, n, dm, t, s):
     assert check_cocycle_identity(k, n, n + dm, t, s) <= 1e-10
 
 
+def test_cocycle_identity_over_a_block_equals_scalar_calls():
+    # the block call is the max of the per-point calls, bit for bit
+    rng = np.random.default_rng(2024)
+    for k in range(1, 5):
+        for n in range(7):
+            for m in range(n, 7):
+                ts = rng.uniform(-1.0, 1.0, (100, 2))
+                scalar = max(check_cocycle_identity(k, n, m, float(t), float(s)) for t, s in ts)
+                assert check_cocycle_identity(k, n, m, ts[:, 0], ts[:, 1]) == scalar
+
+
+def test_cocycle_identity_broadcasts_and_returns_float():
+    s = np.linspace(-1.0, 1.0, 7)
+    got = check_cocycle_identity(3, 1, 5, 0.4, s)
+    assert got == max(check_cocycle_identity(3, 1, 5, 0.4, float(v)) for v in s)
+    assert type(got) is float
+    assert type(check_cocycle_identity(2, 1, 3, 2.0, 1.0)) is float
+
+
 # ---------------------------------------------------------------------------
 # cocycles
 # ---------------------------------------------------------------------------

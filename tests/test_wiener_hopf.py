@@ -60,6 +60,55 @@ def test_transform_of_zero():
     assert np.max(np.abs(fourier_transform_values(z, np.linspace(-1, 1, 11)))) == 0.0
 
 
+def _direct_transform(f, s, endpoint_correction=True):
+    """Oracle: the dense trapezoid sum, one exponential per (s, t_j) pair,
+    plus the h^2/12 endpoint correction from one-sided differences."""
+    y = f.samples
+    h = f.t_step
+    t = f.t_start + h * np.arange(y.size)
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    w = np.ones(y.size)
+    w[0] = w[-1] = 0.5
+    vals = np.exp(-2j * np.pi * s[:, None] * t[None, :]) @ (w * y) * h
+    if endpoint_correction and y.size >= 3:
+        d0 = (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * h)
+        d1 = (3.0 * y[-1] - 4.0 * y[-2] + y[-3]) / (2.0 * h)
+        gp0 = (d0 - 2j * np.pi * s * y[0]) * np.exp(-2j * np.pi * s * t[0])
+        gp1 = (d1 - 2j * np.pi * s * y[-1]) * np.exp(-2j * np.pi * s * t[-1])
+        vals = vals - (h * h / 12.0) * (gp1 - gp0)
+    return vals
+
+
+def _bumpy(t):
+    return np.exp(-((t - 0.4) ** 2)) * (np.cos(3.0 * t) + 0.5j * np.sin(t))
+
+
+@pytest.mark.parametrize(
+    "f, s, endpoint_correction",
+    [
+        # the index suite's kernel and points
+        (generator_kernel(), np.linspace(-4.0, 4.0, 81), True),
+        # a prime sample count, so the last block of the split is partial
+        (GridFn.from_function(_bumpy, -10.0, 0.01, 2003), np.linspace(-3.0, 3.0, 37), True),
+        # a negative t_start that is not a multiple of the step
+        (GridFn.from_function(_bumpy, -7.3, 0.013, 1201), np.linspace(-5.0, 2.0, 29), True),
+        (GridFn.from_function(_bumpy, -10.0, 0.01, 2003), 0.37, True),
+        (GridFn.from_function(_bumpy, -10.0, 0.01, 2003), np.array([]), True),
+        # n = 3, the smallest grid with the endpoint correction
+        (GridFn(-0.5, 0.5, [1.0, 2.0 - 1.0j, 0.5], support_tol=np.inf), np.linspace(-2.0, 2.0, 9), True),
+        (generator_kernel(t_radius=20.0, t_step=0.01), np.linspace(-4.0, 4.0, 81), False),
+    ],
+)
+def test_factored_quadrature_matches_direct_sum(f, s, endpoint_correction):
+    got = fourier_transform_values(f, s, endpoint_correction=endpoint_correction)
+    want = _direct_transform(f, s, endpoint_correction=endpoint_correction)
+    assert got.shape == want.shape == np.atleast_1d(s).shape
+    w = np.ones(f.samples.size)
+    w[0] = w[-1] = 0.5
+    scale = float(np.sum(np.abs(w * f.samples))) * f.t_step
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
 # ---------------------------------------------------------------------------
 # Cayley images
 # ---------------------------------------------------------------------------
