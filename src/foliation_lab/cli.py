@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import functools
 import json
 import math
 import os
@@ -111,9 +112,9 @@ def _check_rng(cfg, name):
     return np.random.default_rng([cfg["seed"], zlib.crc32(name.encode())])
 
 
-def _record(name, anchor, measured, tolerance, passed=None, mode="<="):
+def _record(name, anchor, measured, tolerance, passed=None):
     if passed is None:
-        passed = measured <= tolerance if mode == "<=" else measured >= tolerance
+        passed = measured <= tolerance
     return {
         "name": name,
         "anchor": anchor,
@@ -123,8 +124,50 @@ def _record(name, anchor, measured, tolerance, passed=None, mode="<="):
     }
 
 
+def _check(name, anchor, tolerance):
+    """Turn a generator of residuals into a check whose record measures the
+    largest of them, floored at 0.0 (so no residual, or only negative ones,
+    reads 0.0); a NaN residual reads NaN and fails.  The check keeps the
+    generator's function name, which names its record if it raises."""
+
+    def decorate(body):
+        @functools.wraps(body)
+        def check():
+            residuals = list(body())
+            measured = math.nan if any(map(math.isnan, residuals)) else max([0.0, *residuals])
+            return _record(name, anchor, measured, tolerance)
+
+        return check
+
+    return decorate
+
+
+def _flag(name, anchor, ok):
+    """The record of a yes/no check: 0.0 if ok, else 1.0, against 0.5."""
+    return _record(name, anchor, 0.0 if ok else 1.0, 0.5)
+
+
+def _gap(lhs, rhs):
+    """sup|lhs - rhs| / sup|lhs| of two kernels, the scale floored at 1e-12."""
+    return float(np.max(np.abs(lhs.samples - rhs.samples))) / max(lhs.sup_norm(), 1e-12)
+
+
+def _ring_gap(lhs, rhs):
+    """_gap for two ring elements or two jets."""
+    return (lhs - rhs).sup_norm() / max(lhs.sup_norm(), 1e-12)
+
+
+# anchors that more than one check validates
+PLUMBING = "plumbing"
+RING = "convolution product on the coefficient ring"
+ADJOINT = "kernel adjoint involution"
+L1_NORMS = "kernel L1 norms defining the completions"
+WINDING = "winding number realizes the boundary map"
+STEEP_WARP = "half-line operator algebra is not preserved by steep warps"
+
+
 # ---------------------------------------------------------------------------
-# kernel factory shared by the groupoid-flavored suites
+# random data shared by the suites
 # ---------------------------------------------------------------------------
 
 
@@ -156,6 +199,51 @@ def _random_kernel(model, xg, tg, rng):
     return GroupoidKernel.from_function(model, xg, tg, fn)
 
 
+def _random_kernels(cfg, k, rng, count):
+    """count random kernels over the monomial flow of order k on the suite grids."""
+    model = FlowModel(k)
+    xg, tg = _grids(cfg, k)
+    return [_random_kernel(model, xg, tg, rng) for _ in range(count)]
+
+
+def _composable(model, rng, count, draw_x):
+    """count random (x, t, s, y) with y = phi_s(x), where phi_s(x),
+    phi_(t+s)(x) and phi_t(y) are all defined; t and s are uniform on
+    [-0.5, 0.5]."""
+    done = 0
+    while done < count:
+        x = draw_x(rng)
+        t = float(rng.uniform(-0.5, 0.5))
+        s = float(rng.uniform(-0.5, 0.5))
+        if not (model.in_domain(s, x) and model.in_domain(t + s, x)):
+            continue
+        y = flow.flow_eval(model, s, x)
+        if model.in_domain(t, y):
+            done += 1
+            yield x, t, s, y
+
+
+def _near_zero(rng):
+    return float(rng.uniform(-0.4, 0.4))
+
+
+def _off_zero(rng):
+    return float(rng.uniform(0.05, 0.4)) * (1 if rng.uniform() < 0.5 else -1)
+
+
+def _blaschke_loop(rng, count):
+    """The circle loop of a Blaschke product with count random zeros, which winds count."""
+    zeros = rng.uniform(-0.6, 0.6, count) + 1j * rng.uniform(-0.6, 0.6, count)
+
+    def blaschke(z):
+        out = np.ones_like(z)
+        for a in zeros:
+            out = out * (z - a) / (1.0 - np.conj(a) * z)
+        return out
+
+    return wiener_hopf.SymbolLoop.from_circle_function(blaschke)
+
+
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
@@ -163,238 +251,141 @@ def _random_kernel(model, xg, tg, rng):
 
 def suite_verify_coeff(cfg):
     trials = cfg["trials"]
-    tol_exact = 1e-12
+    exact = 1e-12
 
+    @_check("gaussian_self_convolution_closed_form", RING, exact)
     def gaussian_self_convolution():
         f = GaussPolyFn.gaussian()
-        h = f.convolve(f)
         t = np.linspace(-10, 10, 2001)
-        err = float(np.max(np.abs(h(t) - np.sqrt(np.pi) * np.exp(-(t**2) / 4.0))))
-        return _record(
-            "gaussian_self_convolution_closed_form",
-            "convolution product on the coefficient ring",
-            err,
-            tol_exact,
-        )
+        yield float(np.max(np.abs(f.convolve(f)(t) - np.sqrt(np.pi) * np.exp(-(t**2) / 4.0))))
 
+    @_check("convolution_commutativity", RING, exact)
     def commutativity():
         rng = _check_rng(cfg, "coeff_commutativity")
-        worst = 0.0
         for _ in range(max(trials, 20)):
             f = random_gauss_poly(rng)
             g = random_gauss_poly(rng)
-            d = f.convolve(g) - g.convolve(f)
-            worst = max(worst, d.sup_norm())
-        return _record(
-            "convolution_commutativity",
-            "convolution product on the coefficient ring",
-            worst,
-            tol_exact,
-        )
+            yield (f.convolve(g) - g.convolve(f)).sup_norm()
 
+    @_check("convolution_associativity", RING, exact)
     def associativity():
         rng = _check_rng(cfg, "coeff_associativity")
-        worst = 0.0
         for _ in range(trials):
             f, g, h = (random_gauss_poly(rng) for _ in range(3))
-            d = f.convolve(g).convolve(h) - f.convolve(g.convolve(h))
-            scale = max(f.convolve(g).convolve(h).sup_norm(), 1e-12)
-            worst = max(worst, d.sup_norm() / scale)
-        return _record(
-            "convolution_associativity",
-            "convolution product on the coefficient ring",
-            worst,
-            tol_exact,
-        )
+            yield _ring_gap(f.convolve(g).convolve(h), f.convolve(g.convolve(h)))
 
+    @_check("sampled_ring_matches_exact_ring", PLUMBING, 1e-6)
     def grid_matches_exact():
         rng = _check_rng(cfg, "coeff_grid_vs_exact")
-        worst = 0.0
         for _ in range(5):
             f = random_gauss_poly(rng)
             g = random_gauss_poly(rng)
-            exact = f.convolve(g)
-            fs = f.sample(-14.0, 0.01, 2801)
-            gs = g.sample(-14.0, 0.01, 2801)
-            hs = fs.convolve(gs)
-            want = exact.sample(hs.t_start, hs.t_step, hs.count, support_tol=np.inf)
-            worst = max(worst, float(np.max(np.abs(hs.samples - want.samples))))
-        return _record(
-            "sampled_ring_matches_exact_ring",
-            "plumbing",
-            worst,
-            1e-6,
-        )
+            hs = f.sample(-14.0, 0.01, 2801).convolve(g.sample(-14.0, 0.01, 2801))
+            want = f.convolve(g).sample(hs.t_start, hs.t_step, hs.count, support_tol=np.inf)
+            yield float(np.max(np.abs(hs.samples - want.samples)))
 
+    @_check(
+        "time_multiplication_is_a_derivation",
+        "derivation twist in the order-k commutation relation",
+        exact,
+    )
     def derivation():
         rng = _check_rng(cfg, "coeff_derivation")
-        worst = 0.0
         for _ in range(trials):
             f = random_gauss_poly(rng)
             g = random_gauss_poly(rng)
-            lhs = f.convolve(g).mul_by_t()
             rhs = f.mul_by_t().convolve(g) + f.convolve(g.mul_by_t())
-            worst = max(worst, (lhs - rhs).sup_norm())
-        return _record(
-            "time_multiplication_is_a_derivation",
-            "derivation twist in the order-k commutation relation",
-            worst,
-            tol_exact,
-        )
+            yield (f.convolve(g).mul_by_t() - rhs).sup_norm()
 
+    @_check(
+        "exponential_multiplication_is_an_automorphism",
+        "automorphism twist in the order-one commutation relation",
+        exact,
+    )
     def automorphism():
         rng = _check_rng(cfg, "coeff_automorphism")
-        worst = 0.0
         for _ in range(trials):
             f = random_gauss_poly(rng)
             g = random_gauss_poly(rng)
             c = float(rng.uniform(-1.0, 1.0))
-            lhs = f.convolve(g).mul_by_exp(c)
-            rhs = f.mul_by_exp(c).convolve(g.mul_by_exp(c))
-            worst = max(worst, (lhs - rhs).sup_norm() / max(lhs.sup_norm(), 1e-12))
-        return _record(
-            "exponential_multiplication_is_an_automorphism",
-            "automorphism twist in the order-one commutation relation",
-            worst,
-            tol_exact,
-        )
+            yield _ring_gap(f.convolve(g).mul_by_exp(c), f.mul_by_exp(c).convolve(g.mul_by_exp(c)))
 
     return [gaussian_self_convolution, commutativity, associativity, grid_matches_exact, derivation, automorphism]
 
 
 def suite_verify_flow(cfg):
+    k_values = cfg["k_values"]
+
+    @_check("flow_group_law", "transformation groupoid structure", 1e-8)
     def group_law():
         rng = _check_rng(cfg, "flow_group_law")
-        worst = 0.0
-        for k in cfg["k_values"]:
+        for k in k_values:
             for variant in (flow.MONOMIAL, flow.COMPLETE_RESCALED):
                 model = FlowModel(k, variant)
-                done = 0
-                while done < 25:
-                    x = float(rng.uniform(-0.4, 0.4))
-                    t = float(rng.uniform(-0.5, 0.5))
-                    s = float(rng.uniform(-0.5, 0.5))
-                    if not (
-                        model.in_domain(s, x)
-                        and model.in_domain(t + s, x)
-                        and model.in_domain(t, flow.flow_eval(model, s, x))
-                    ):
-                        continue
-                    lhs = flow.flow_eval(model, t + s, x)
-                    rhs = flow.flow_eval(model, t, flow.flow_eval(model, s, x))
-                    worst = max(worst, abs(lhs - rhs))
-                    done += 1
-        return _record("flow_group_law", "transformation groupoid structure", worst, 1e-8)
+                for x, t, s, y in _composable(model, rng, 25, _near_zero):
+                    yield abs(flow.flow_eval(model, t + s, x) - flow.flow_eval(model, t, y))
 
+    @_check("taylor_table_diagonal_band_row0", "Taylor expansion of powers of the flow", 0.0)
     def taylor_table_invariants():
-        worst = 0.0
-        for k in cfg["k_values"]:
+        for k in k_values:
             table = FlowTaylorTable(k, 8)
             for n in range(9):
                 diag = table.coeff(n, n)
                 if diag.kind == "poly":
-                    worst = max(worst, abs(np.asarray(diag.poly)[0] - 1.0))
+                    yield abs(np.asarray(diag.poly)[0] - 1.0)
                 for m in range(n + 1, min(n + max(k - 1, 1), 9)):
-                    if m != n and m - n < k - 1:
-                        worst = max(worst, float(np.max(np.abs(table.coeff(n, m).poly))))
+                    yield float(np.max(np.abs(table.coeff(n, m).poly)))
             for m in range(1, 9):
-                worst = max(worst, float(np.max(np.abs(table.coeff(0, m).poly))))
-        return _record(
-            "taylor_table_diagonal_band_row0",
-            "Taylor expansion of powers of the flow",
-            worst,
-            0.0,
-            passed=worst == 0.0,
-        )
+                yield float(np.max(np.abs(table.coeff(0, m).poly)))
 
+    @_check("flow_power_cocycle_identity", "cocycle identity for flow Taylor coefficients", 1e-10)
     def cocycle_identity():
         # (t, s) in the unit box: the identity is exact, so the residual is
         # pure rounding, which scales with the polynomial magnitudes
         rng = _check_rng(cfg, "flow_cocycle_identity")
-        worst = 0.0
-        for k in cfg["k_values"]:
+        for k in k_values:
             for n in range(0, 7):
                 for m in range(n, 7):
                     ts = rng.uniform(-1.0, 1.0, (100, 2))
-                    worst = max(worst, flow.check_cocycle_identity(k, n, m, ts[:, 0], ts[:, 1]))
-        return _record(
-            "flow_power_cocycle_identity",
-            "cocycle identity for flow Taylor coefficients",
-            worst,
-            1e-10,
-        )
+                    yield flow.check_cocycle_identity(k, n, m, ts[:, 0], ts[:, 1])
 
+    @_check(
+        "series_composition_identity", "coefficient extraction of composed series powers", 1e-12
+    )
     def composition_identity():
-        worst = 0.0
-        for k in cfg["k_values"]:
-            for n, m in ((1, 1), (2, 5), (3, 6)):
-                worst = max(
-                    worst,
-                    flow.check_composition_identity(k, n, m, trials=cfg["trials"], seed=cfg["seed"]),
-                )
-        return _record(
-            "series_composition_identity",
-            "coefficient extraction of composed series powers",
-            worst,
-            1e-12,
-        )
+        for n, m in ((1, 1), (2, 5), (3, 6)):
+            yield flow.check_composition_identity(n, m, trials=cfg["trials"], seed=cfg["seed"])
 
+    @_check("delta_cocycle_multiplicativity", "the flow-quotient one-cocycle", 1e-10)
     def delta_multiplicative():
         rng = _check_rng(cfg, "flow_delta_cocycle")
-        worst = 0.0
-        for k in cfg["k_values"]:
+        for k in k_values:
             model = FlowModel(k)
-            done = 0
-            while done < 30:
-                x = float(rng.uniform(-0.4, 0.4))
-                t = float(rng.uniform(-0.5, 0.5))
-                s = float(rng.uniform(-0.5, 0.5))
-                if not (model.in_domain(s, x) and model.in_domain(t + s, x)):
-                    continue
-                y = flow.flow_eval(model, s, x)
-                if not model.in_domain(t, y):
-                    continue
+            for x, t, s, y in _composable(model, rng, 30, _near_zero):
                 lhs = flow.cocycle_delta(model, x, t + s)
-                rhs = flow.cocycle_delta(model, y, t) * flow.cocycle_delta(model, x, s)
-                worst = max(worst, abs(lhs - rhs))
-                done += 1
-        return _record(
-            "delta_cocycle_multiplicativity",
-            "the flow-quotient one-cocycle",
-            worst,
-            1e-10,
-        )
+                yield abs(lhs - flow.cocycle_delta(model, y, t) * flow.cocycle_delta(model, x, s))
 
+    @_check(
+        "beta_cocycle_multiplicativity",
+        "square-root-derivative weight in the completed norm",
+        1e-10,
+    )
     def beta_multiplicative():
         rng = _check_rng(cfg, "flow_beta_cocycle")
-        worst = 0.0
-        for k in cfg["k_values"]:
+        for k in k_values:
             model = FlowModel(k)
-            done = 0
-            while done < 30:
-                x = float(rng.uniform(0.05, 0.4)) * (1 if rng.uniform() < 0.5 else -1)
-                t = float(rng.uniform(-0.5, 0.5))
-                s = float(rng.uniform(-0.5, 0.5))
-                if not (model.in_domain(s, x) and model.in_domain(t + s, x)):
-                    continue
-                y = flow.flow_eval(model, s, x)
-                if not model.in_domain(t, y) or y == 0.0:
-                    continue
+            for x, t, s, y in _composable(model, rng, 30, _off_zero):
                 lhs = flow.beta_cocycle(model, x, t + s)
-                rhs = flow.beta_cocycle(model, y, t) * flow.beta_cocycle(model, x, s)
-                worst = max(worst, abs(lhs - rhs))
-                done += 1
-        return _record(
-            "beta_cocycle_multiplicativity",
-            "square-root-derivative weight in the completed norm",
-            worst,
-            1e-10,
-        )
+                yield abs(lhs - flow.beta_cocycle(model, y, t) * flow.beta_cocycle(model, x, s))
 
+    @_check(
+        "monomial_vs_rescaled_contact_order",
+        "rescaled complete generator of the same foliation",
+        1.0,
+    )
     def variant_agreement():
         # near 0 the two variants differ at order x^(k+2); Richardson ratio
-        worst_ratio_defect = 0.0
-        for k in cfg["k_values"]:
+        for k in k_values:
             if k == 1:
                 continue  # the rescaling factor is identically 1
             mono = FlowModel(k)
@@ -402,14 +393,7 @@ def suite_verify_flow(cfg):
             t = 0.8
             d1 = abs(flow.flow_eval(mono, t, 0.1) - flow.flow_eval(resc, t, 0.1))
             d2 = abs(flow.flow_eval(mono, t, 0.05) - flow.flow_eval(resc, t, 0.05))
-            ratio = d1 / max(d2, 1e-300)
-            worst_ratio_defect = max(worst_ratio_defect, 2 ** (k + 1) / ratio)
-        return _record(
-            "monomial_vs_rescaled_contact_order",
-            "rescaled complete generator of the same foliation",
-            worst_ratio_defect,
-            1.0,
-        )
+            yield 2 ** (k + 1) / (d1 / max(d2, 1e-300))
 
     return [
         group_law,
@@ -424,145 +408,87 @@ def suite_verify_flow(cfg):
 
 def suite_verify_groupoid(cfg):
     qtol = cfg["tolerances"]["quadrature"]
+    k_values = cfg["k_values"]
+    convolve, adjoint = groupoid_conv.convolve, groupoid_conv.adjoint
+    left, right = groupoid_conv.module_mult_left, groupoid_conv.module_mult_right
 
+    @_check("convolution_associativity", "groupoid convolution product", qtol)
     def associativity():
         rng = _check_rng(cfg, "groupoid_associativity")
-        worst = 0.0
-        for k in cfg["k_values"]:
-            model = FlowModel(k)
-            xg, tg = _grids(cfg, k)
-            f = _random_kernel(model, xg, tg, rng)
-            g = _random_kernel(model, xg, tg, rng)
-            h = _random_kernel(model, xg, tg, rng)
-            lhs = groupoid_conv.convolve(groupoid_conv.convolve(f, g), h)
-            rhs = groupoid_conv.convolve(f, groupoid_conv.convolve(g, h))
-            worst = max(worst, float(np.max(np.abs(lhs.samples - rhs.samples))) / lhs.sup_norm())
-        return _record("convolution_associativity", "groupoid convolution product", worst, qtol)
+        for k in k_values:
+            f, g, h = _random_kernels(cfg, k, rng, 3)
+            yield _gap(convolve(convolve(f, g), h), convolve(f, convolve(g, h)))
 
+    @_check("adjoint_antimultiplicativity", ADJOINT, qtol)
     def adjoint_antimultiplicative():
         rng = _check_rng(cfg, "groupoid_antihom")
-        worst = 0.0
-        for k in cfg["k_values"]:
-            model = FlowModel(k)
-            xg, tg = _grids(cfg, k)
-            f = _random_kernel(model, xg, tg, rng)
-            g = _random_kernel(model, xg, tg, rng)
-            lhs = groupoid_conv.adjoint(groupoid_conv.convolve(f, g))
-            rhs = groupoid_conv.convolve(groupoid_conv.adjoint(g), groupoid_conv.adjoint(f))
-            worst = max(worst, float(np.max(np.abs(lhs.samples - rhs.samples))) / lhs.sup_norm())
-        return _record("adjoint_antimultiplicativity", "kernel adjoint involution", worst, qtol)
+        for k in k_values:
+            f, g = _random_kernels(cfg, k, rng, 2)
+            yield _gap(adjoint(convolve(f, g)), convolve(adjoint(g), adjoint(f)))
 
+    @_check("adjoint_involution", ADJOINT, 1e-8)
     def adjoint_involution():
         rng = _check_rng(cfg, "groupoid_involution")
-        model = FlowModel(3)
         xg = GridSpec.centered(0.42, 0.0006)
         tg = GridSpec.centered(cfg["grid"]["t_radius"], cfg["grid"]["t_step"])
-        f = _random_kernel(model, xg, tg, rng)
-        back = groupoid_conv.adjoint(groupoid_conv.adjoint(f))
-        err = float(np.max(np.abs(back.samples - f.samples))) / f.sup_norm()
-        return _record("adjoint_involution", "kernel adjoint involution", err, 1e-8)
+        f = _random_kernel(FlowModel(3), xg, tg, rng)
+        yield _gap(f, adjoint(adjoint(f)))
 
+    @_check("module_action_associativity", "base-function module actions", qtol)
     def module_associativity():
         rng = _check_rng(cfg, "groupoid_module")
-        worst = 0.0
         a = _identity
-        for k in cfg["k_values"]:
-            model = FlowModel(k)
-            xg, tg = _grids(cfg, k)
-            f = _random_kernel(model, xg, tg, rng)
-            g = _random_kernel(model, xg, tg, rng)
-            lhs = groupoid_conv.module_mult_left(a, groupoid_conv.convolve(f, g))
-            rhs = groupoid_conv.convolve(groupoid_conv.module_mult_left(a, f), g)
-            worst = max(
-                worst,
-                float(np.max(np.abs(lhs.samples - rhs.samples))) / max(lhs.sup_norm(), 1e-12),
-            )
-            lhs2 = groupoid_conv.module_mult_right(groupoid_conv.convolve(f, g), a)
-            rhs2 = groupoid_conv.convolve(f, groupoid_conv.module_mult_right(g, a))
-            worst = max(
-                worst,
-                float(np.max(np.abs(lhs2.samples - rhs2.samples))) / max(lhs2.sup_norm(), 1e-12),
-            )
-        return _record("module_action_associativity", "base-function module actions", worst, qtol)
+        for k in k_values:
+            f, g = _random_kernels(cfg, k, rng, 2)
+            fg = convolve(f, g)
+            yield _gap(left(a, fg), convolve(left(a, f), g))
+            yield _gap(right(fg, a), convolve(f, right(g, a)))
 
+    @_check("coordinate_commutation_via_cocycle", "x f = (Delta f) x exchange relation", 1e-8)
     def delta_relation():
         rng = _check_rng(cfg, "groupoid_delta_relation")
-        worst = 0.0
-        a = _identity
-        for k in cfg["k_values"]:
-            model = FlowModel(k)
-            xg, tg = _grids(cfg, k)
-            f = _random_kernel(model, xg, tg, rng)
-            lhs = groupoid_conv.module_mult_left(a, f)
-            rhs = groupoid_conv.module_mult_right(groupoid_conv.scale_by_delta(f), a)
-            worst = max(worst, float(np.max(np.abs(lhs.samples - rhs.samples))))
-        return _record(
-            "coordinate_commutation_via_cocycle",
-            "x f = (Delta f) x exchange relation",
-            worst,
-            1e-8,
-        )
+        for k in k_values:
+            (f,) = _random_kernels(cfg, k, rng, 1)
+            lhs = left(_identity, f)
+            rhs = right(groupoid_conv.scale_by_delta(f), _identity)
+            yield float(np.max(np.abs(lhs.samples - rhs.samples)))
 
+    @_check("product_kernel_l1_norm", L1_NORMS, 1e-6)
     def product_kernel_norm():
-        worst = 0.0
-        for k in cfg["k_values"]:
-            model = FlowModel(k)
+        for k in k_values:
             xg, tg = _grids(cfg, k)
-            f = GroupoidKernel.separable(
-                model, xg, tg, lambda x: _bump(x, 0.3) * (1 + 0.5 * x), lambda t: _bump(t, 0.8 * tg.end)
-            )
+            a = lambda x: _bump(x, 0.3) * (1 + 0.5 * x)
+            b = lambda t: _bump(t, 0.8 * tg.end)
+            f = GroupoidKernel.separable(FlowModel(k), xg, tg, a, b)
             got = groupoid_conv.l1_groupoid_norm(f)
-            a_sup = float(np.max(np.abs(_bump(xg.points, 0.3) * (1 + 0.5 * xg.points))))
-            b_l1 = float(np.trapezoid(np.abs(_bump(tg.points, 0.8 * tg.end)), dx=tg.step))
-            worst = max(worst, abs(got - a_sup * b_l1) / (a_sup * b_l1))
-        return _record(
-            "product_kernel_l1_norm",
-            "kernel L1 norms defining the completions",
-            worst,
-            1e-6,
-        )
+            a_sup = float(np.max(np.abs(a(xg.points))))
+            b_l1 = float(np.trapezoid(np.abs(b(tg.points)), dx=tg.step))
+            yield abs(got - a_sup * b_l1) / (a_sup * b_l1)
 
+    @_check("l1_norm_submultiplicative", L1_NORMS, 1e-6)
     def submultiplicativity():
         rng = _check_rng(cfg, "groupoid_submult")
-        margin = 0.0
-        for k in cfg["k_values"]:
-            model = FlowModel(k)
-            xg, tg = _grids(cfg, k)
+        norm = groupoid_conv.l1_groupoid_norm
+        for k in k_values:
             for _ in range(3):
-                f = _random_kernel(model, xg, tg, rng)
-                g = _random_kernel(model, xg, tg, rng)
-                prod = groupoid_conv.l1_groupoid_norm(groupoid_conv.convolve(f, g))
-                bound = groupoid_conv.l1_groupoid_norm(f) * groupoid_conv.l1_groupoid_norm(g)
-                margin = max(margin, prod / bound - 1.0)
-        return _record(
-            "l1_norm_submultiplicative",
-            "kernel L1 norms defining the completions",
-            margin,
-            1e-6,
-        )
+                f, g = _random_kernels(cfg, k, rng, 2)
+                yield norm(convolve(f, g)) / (norm(f) * norm(g)) - 1.0
 
+    @_check(
+        "taylor_map_is_multiplicative", "transfer of the ring structure along the jet map", 1e-4
+    )
     def taylor_homomorphism():
         rng = _check_rng(cfg, "groupoid_taylor_hom")
-        worst = 0.0
-        for k in cfg["k_values"]:
-            model = FlowModel(k)
-            xg, tg = _grids(cfg, k)
+        taylor_map = groupoid_conv.taylor_map
+        p = min(cfg["max_jet_order"], 3)
+        for k in k_values:
             for _ in range(2):
-                f = _random_kernel(model, xg, tg, rng)
-                g = _random_kernel(model, xg, tg, rng)
-                p = min(cfg["max_jet_order"], 3)
-                lhs = groupoid_conv.taylor_map(groupoid_conv.convolve(f, g), p)
-                rhs = jet_mul(groupoid_conv.taylor_map(f, p), groupoid_conv.taylor_map(g, p))
-                for q in range(p + 1):
-                    a, b = lhs.coeffs[q], rhs.coeffs[q]
+                f, g = _random_kernels(cfg, k, rng, 2)
+                lhs = taylor_map(convolve(f, g), p)
+                rhs = jet_mul(taylor_map(f, p), taylor_map(g, p))
+                for a, b in zip(lhs.coeffs, rhs.coeffs):
                     scale = max(a.sup_norm(), b.sup_norm(), 1e-12)
-                    worst = max(worst, float(np.max(np.abs(a.samples - b.samples))) / scale)
-        return _record(
-            "taylor_map_is_multiplicative",
-            "transfer of the ring structure along the jet map",
-            worst,
-            1e-4,
-        )
+                    yield float(np.max(np.abs(a.samples - b.samples))) / scale
 
     return [
         associativity,
@@ -577,110 +503,78 @@ def suite_verify_groupoid(cfg):
 
 
 def suite_verify_jets(cfg):
+    k_values = cfg["k_values"]
+    zero = GaussPolyFn.zero()
+
+    def random_jet(rng, k, p):
+        return Jet(k, [random_gauss_poly(rng) for _ in range(p + 1)])
+
     def dichotomy():
+        anchor = "commutativity dichotomy of the truncated quotients"
         records = []
-        for k in cfg["k_values"]:
+        for k in k_values:
             rows = commutativity_report(
                 k, max_order=max(k, cfg["max_jet_order"]), trials=cfg["trials"], seed=cfg["seed"]
             )
             for q, norm in rows:
+                name = f"commutator_norm_k{k}_order{q}"
                 if q <= k - 1:
-                    rec = _record(
-                        f"commutator_norm_k{k}_order{q}",
-                        "commutativity dichotomy of the truncated quotients",
-                        norm,
-                        1e-10,
-                    )
+                    records.append(_record(name, anchor, norm, 1e-10))
                 else:
-                    rec = _record(
-                        f"commutator_norm_k{k}_order{q}",
-                        "commutativity dichotomy of the truncated quotients",
-                        norm,
-                        1e-3,
-                        mode=">=",
-                    )
-                records.append(rec)
+                    records.append(_record(name, anchor, norm, 1e-3, passed=norm >= 1e-3))
         return records
 
+    @_check(
+        "defining_relations_of_the_twist",
+        "single commutation relation presenting the quotient",
+        1e-12,
+    )
     def relations():
         rng = _check_rng(cfg, "jet_relations")
-        worst = 0.0
-        for k in cfg["k_values"]:
+        for k in k_values:
             for _ in range(20):
                 b = random_gauss_poly(rng)
                 f = Jet.from_coefficient(k, b, k)
                 lhs = x_mult_left(f)
                 if k == 1:
-                    rhs = x_mult_right(Jet(k, [b.mul_by_exp(1.0), GaussPolyFn.zero()]))
-                    worst = max(worst, (lhs - rhs).sup_norm())
+                    yield (lhs - x_mult_right(Jet(k, [b.mul_by_exp(1.0), zero]))).sup_norm()
                 else:
-                    diff = lhs - x_mult_right(f)
-                    expect = [GaussPolyFn.zero()] * k + [b.mul_by_t()]
-                    worst = max(worst, (diff - Jet(k, expect)).sup_norm())
-        return _record(
-            "defining_relations_of_the_twist",
-            "single commutation relation presenting the quotient",
-            worst,
-            1e-12,
-        )
+                    yield (lhs - x_mult_right(f) - Jet(k, [zero] * k + [b.mul_by_t()])).sup_norm()
 
+    @_check("jet_product_associativity", "twisted series product formula", 1e-12)
     def associativity():
         rng = _check_rng(cfg, "jet_associativity")
-        worst = 0.0
-        for k in cfg["k_values"]:
+        for k in k_values:
             for p in (2, min(4, cfg["max_jet_order"])):
-                f = Jet(k, [random_gauss_poly(rng) for _ in range(p + 1)])
-                g = Jet(k, [random_gauss_poly(rng) for _ in range(p + 1)])
-                h = Jet(k, [random_gauss_poly(rng) for _ in range(p + 1)])
-                lhs = jet_mul(jet_mul(f, g), h)
-                rhs = jet_mul(f, jet_mul(g, h))
-                worst = max(worst, (lhs - rhs).sup_norm() / max(lhs.sup_norm(), 1e-12))
-        return _record(
-            "jet_product_associativity",
-            "twisted series product formula",
-            worst,
-            1e-12,
-        )
+                f, g, h = (random_jet(rng, k, p) for _ in range(3))
+                yield _ring_gap(jet_mul(jet_mul(f, g), h), jet_mul(f, jet_mul(g, h)))
 
+    @_check("truncation_respects_product", "nested vanishing-order ideals", 1e-12)
     def truncation_compatibility():
         rng = _check_rng(cfg, "jet_truncation")
-        worst = 0.0
-        for k in cfg["k_values"]:
-            p = min(4, cfg["max_jet_order"])
-            f = Jet(k, [random_gauss_poly(rng) for _ in range(p + 1)])
-            g = Jet(k, [random_gauss_poly(rng) for _ in range(p + 1)])
+        p = min(4, cfg["max_jet_order"])
+        for k in k_values:
+            f, g = (random_jet(rng, k, p) for _ in range(2))
             full = jet_mul(f, g)
             for q in range(p):
-                d = full.truncate(q) - jet_mul(f.truncate(q), g.truncate(q))
-                worst = max(worst, d.sup_norm())
-        return _record(
-            "truncation_respects_product",
-            "nested vanishing-order ideals",
-            worst,
-            1e-12,
-        )
+                yield (full.truncate(q) - jet_mul(f.truncate(q), g.truncate(q))).sup_norm()
 
+    @_check(
+        "iterated_exponential_twist",
+        "iterated order-one relation matches diagonal Taylor data",
+        1e-12,
+    )
     def exponential_iteration():
         rng = _check_rng(cfg, "jet_exp_iteration")
-        worst = 0.0
         p = 4
         for _ in range(5):
             b = random_gauss_poly(rng)
-            f = Jet.from_coefficient(1, b, p)
-            lhs = f
+            lhs = Jet.from_coefficient(1, b, p)
             for _ in range(3):
                 lhs = x_mult_left(lhs)
-            rhs = Jet(
-                1, [GaussPolyFn.zero()] * 3 + [b.mul_by_exp(3.0)] + [GaussPolyFn.zero()] * (p - 3)
-            )
+            rhs = Jet(1, [zero] * 3 + [b.mul_by_exp(3.0)] + [zero] * (p - 3))
             # the triple twist amplifies by e^(3t); compare relative to scale
-            worst = max(worst, (lhs - rhs).sup_norm() / max(rhs.sup_norm(), 1.0))
-        return _record(
-            "iterated_exponential_twist",
-            "iterated order-one relation matches diagonal Taylor data",
-            worst,
-            1e-12,
-        )
+            yield (lhs - rhs).sup_norm() / max(rhs.sup_norm(), 1.0)
 
     return [dichotomy, relations, associativity, truncation_compatibility, exponential_iteration]
 
@@ -688,22 +582,16 @@ def suite_verify_jets(cfg):
 def suite_index(cfg):
     wtol = cfg["tolerances"]["winding_residual"]
 
+    @_check(
+        "generator_transform_quadrature", "closed form of the half-line generator transform", 1e-8
+    )
     def transform_quadrature():
-        b = wiener_hopf.generator_kernel()
         s = np.linspace(-4.0, 4.0, 81)
-        err = float(
-            np.max(np.abs(wiener_hopf.fourier_transform_values(b, s) - wiener_hopf.generator_hat_closed_form(s)))
-        )
-        return _record(
-            "generator_transform_quadrature",
-            "closed form of the half-line generator transform",
-            err,
-            1e-8,
-        )
+        got = wiener_hopf.fourier_transform_values(wiener_hopf.generator_kernel(), s)
+        yield float(np.max(np.abs(got - wiener_hopf.generator_hat_closed_form(s))))
 
     def generator_winding():
-        loop = wiener_hopf.generator_symbol_loop()
-        rep = wiener_hopf.index_report(loop)
+        rep = wiener_hopf.index_report(wiener_hopf.generator_symbol_loop())
         ok = rep["winding"] == 1 and rep["boundary_index"] == -1 and rep["residual"] <= wtol
         record = _record(
             "generator_winding_and_boundary_index",
@@ -716,45 +604,19 @@ def suite_index(cfg):
         return record
 
     def power_windings():
-        ok = True
-        for n in range(-2, 3):
-            loop = wiener_hopf.SymbolLoop.from_circle_function(lambda z, n=n: z**n)
-            ok = ok and wiener_hopf.winding_number(loop) == n
-        return _record(
-            "circle_power_windings",
-            "winding number realizes the boundary map",
-            0.0 if ok else 1.0,
-            0.5,
-            passed=ok,
-        )
+        circle = wiener_hopf.SymbolLoop.from_circle_function
+        ok = all(wiener_hopf.winding_number(circle(lambda z, n=n: z**n)) == n for n in range(-2, 3))
+        return _flag("circle_power_windings", WINDING, ok)
 
     def winding_additivity():
         rng = _check_rng(cfg, "index_additivity")
         ok = True
         for _ in range(cfg["trials"]):
             m1, m2 = rng.integers(0, 4, 2)
-            zeros1 = rng.uniform(-0.6, 0.6, m1) + 1j * rng.uniform(-0.6, 0.6, m1)
-            zeros2 = rng.uniform(-0.6, 0.6, m2) + 1j * rng.uniform(-0.6, 0.6, m2)
-
-            def blaschke(z, zeros):
-                out = np.ones_like(z)
-                for a in zeros:
-                    out = out * (z - a) / (1.0 - np.conj(a) * z)
-                return out
-
-            l1 = wiener_hopf.SymbolLoop.from_circle_function(lambda z: blaschke(z, zeros1))
-            l2 = wiener_hopf.SymbolLoop.from_circle_function(lambda z: blaschke(z, zeros2))
-            w1 = wiener_hopf.winding_number(l1)
-            w2 = wiener_hopf.winding_number(l2)
-            w12 = wiener_hopf.winding_number(l1 * l2)
-            ok = ok and (w1 == m1) and (w2 == m2) and (w12 == m1 + m2)
-        return _record(
-            "winding_additivity",
-            "winding number realizes the boundary map",
-            0.0 if ok else 1.0,
-            0.5,
-            passed=ok,
-        )
+            l1, l2 = (_blaschke_loop(rng, m) for m in (m1, m2))
+            windings = [wiener_hopf.winding_number(loop) for loop in (l1, l2, l1 * l2)]
+            ok = ok and windings == [m1, m2, m1 + m2]
+        return _flag("winding_additivity", WINDING, ok)
 
     def section_diagnostics():
         shift = wiener_hopf.toeplitz_finite_section(
@@ -763,37 +625,26 @@ def suite_index(cfg):
         counts = wiener_hopf.finite_section_kernel_counts(shift, tol=1e-10)
         ok = counts == (1, 1)
         return _record(
-            "finite_section_truncation_artifact",
-            "plumbing",
-            float(counts[0]),
-            1.0,
-            passed=ok,
+            "finite_section_truncation_artifact", PLUMBING, float(counts[0]), 1.0, passed=ok
         )
 
     return [transform_quadrature, generator_winding, power_windings, winding_additivity, section_diagnostics]
 
 
 def suite_classify(cfg):
+    bi_index, parity = wiener_hopf.flow_bi_index, wiener_hopf.parity_invariant
+
     def parity_table():
         ok = True
         for k in range(1, 7):
             for variant in (flow.MONOMIAL, flow.COMPLETE_RESCALED):
-                model = FlowModel(k, variant)
-                idx = wiener_hopf.flow_bi_index(model)
-                ok = ok and abs(wiener_hopf.parity_invariant(idx)) == 2 * (k % 2)
-            fwd = wiener_hopf.flow_bi_index(FlowModel(k))
-            rev = wiener_hopf.flow_bi_index(FlowModel(k, time_reversed=True))
+                ok = ok and abs(parity(bi_index(FlowModel(k, variant)))) == 2 * (k % 2)
+            fwd = bi_index(FlowModel(k))
+            rev = bi_index(FlowModel(k, time_reversed=True))
             ok = ok and (rev.left, rev.right) == (-fwd.left, -fwd.right)
-            same_parity = abs(wiener_hopf.parity_invariant(fwd)) == abs(
-                wiener_hopf.parity_invariant(rev)
-            )
-            ok = ok and same_parity
-        record = _record(
-            "parity_classification",
-            "completed algebras are classified by the parity of k",
-            0.0 if ok else 1.0,
-            0.5,
-            passed=ok,
+            ok = ok and abs(parity(fwd)) == abs(parity(rev))
+        record = _flag(
+            "parity_classification", "completed algebras are classified by the parity of k", ok
         )
         record["data"] = [wiener_hopf.bi_index_report(FlowModel(k)) for k in range(1, 7)]
         return record
@@ -801,85 +652,44 @@ def suite_classify(cfg):
     def component_structure():
         ok = True
         for k in range(1, 7):
-            idx = wiener_hopf.flow_bi_index(FlowModel(k))
-            equal = idx.left == idx.right
-            ok = ok and (equal == (k % 2 == 1))
-        return _record(
-            "bi_index_components_equal_iff_odd",
-            "source/sink signature of the fixed point",
-            0.0 if ok else 1.0,
-            0.5,
-            passed=ok,
+            idx = bi_index(FlowModel(k))
+            ok = ok and (idx.left == idx.right) == (k % 2 == 1)
+        return _flag(
+            "bi_index_components_equal_iff_odd", "source/sink signature of the fixed point", ok
         )
 
     return [parity_table, component_structure]
 
 
 def suite_demo_nonpreservation(cfg):
+    demo, gaussian = wiener_hopf.nonpreservation_demo, wiener_hopf.GaussianSpec
+
     def steep_warp():
-        u = wiener_hopf.Diffeomorphism.exp_stretch()
-        recs = wiener_hopf.nonpreservation_demo(
-            u, wiener_hopf.GaussianSpec(), wiener_hopf.GaussianSpec(), n_max=20
-        )
+        recs = demo(wiener_hopf.Diffeomorphism.exp_stretch(), gaussian(), gaussian(), n_max=20)
         a = recs[0]["first_term_norm"]
         sups = [r["pullback_sup"] for r in recs]
-        norms = [r["norm"] for r in recs]
-        tail_ok = all(v >= a / 2 for v in norms[2:])
+        tail_ok = all(r["norm"] >= a / 2 for r in recs[2:])
         monotone = all(sups[i + 1] < sups[i] for i in range(1, len(sups) - 1))
-        final_ok = sups[-1] < a / 10
-        return _record(
-            "steep_warp_breaks_the_algebra",
-            "half-line operator algebra is not preserved by steep warps",
-            sups[-1],
-            a / 10,
-            passed=tail_ok and monotone and final_ok,
-        ), recs
+        ok = tail_ok and monotone and sups[-1] < a / 10
+        steep_warp.norm_rows = recs  # run_suite writes them next to the report
+        return _record("steep_warp_breaks_the_algebra", STEEP_WARP, sups[-1], a / 10, passed=ok)
 
+    @_check("translation_invariant_term_is_constant", STEEP_WARP, 1e-10)
     def no_second_term():
-        recs = wiener_hopf.nonpreservation_demo(
-            wiener_hopf.Diffeomorphism.exp_stretch(), wiener_hopf.GaussianSpec(), None, n_max=8
-        )
+        recs = demo(wiener_hopf.Diffeomorphism.exp_stretch(), gaussian(), None, n_max=8)
         norms = np.array([r["norm"] for r in recs])
-        spread = float(np.max(norms) - np.min(norms))
-        return _record(
-            "translation_invariant_term_is_constant",
-            "half-line operator algebra is not preserved by steep warps",
-            spread,
-            1e-10,
-        )
+        yield float(np.max(norms) - np.min(norms))
 
     def identity_warp():
-        recs_same = wiener_hopf.nonpreservation_demo(
-            wiener_hopf.Diffeomorphism.identity(),
-            wiener_hopf.GaussianSpec(),
-            wiener_hopf.GaussianSpec(),
-            n_max=8,
-        )
-        zero = float(np.max([r["norm"] for r in recs_same]))
-        recs_diff = wiener_hopf.nonpreservation_demo(
-            wiener_hopf.Diffeomorphism.identity(),
-            wiener_hopf.GaussianSpec(),
-            wiener_hopf.GaussianSpec(amplitude=0.5),
-            n_max=8,
-        )
-        norms = np.array([r["norm"] for r in recs_diff])
-        stays = float(np.min(norms))
+        warp = wiener_hopf.Diffeomorphism.identity()
+        zero = float(np.max([r["norm"] for r in demo(warp, gaussian(), gaussian(), n_max=8)]))
+        diff = demo(warp, gaussian(), gaussian(amplitude=0.5), n_max=8)
+        norms = np.array([r["norm"] for r in diff])
         # equal data cancels exactly; unequal data shows no decay at all
-        ok = zero < 1e-10 and stays > 0.1 and np.max(norms) - np.min(norms) < 1e-10
-        return _record(
-            "identity_warp_reference_scenario",
-            "plumbing",
-            zero,
-            1e-10,
-            passed=ok,
-        )
+        ok = zero < 1e-10 and float(np.min(norms)) > 0.1 and np.max(norms) - np.min(norms) < 1e-10
+        return _record("identity_warp_reference_scenario", PLUMBING, zero, 1e-10, passed=ok)
 
-    def wrapper():
-        rec, recs = steep_warp()
-        wrapper.norm_rows = recs
-        return rec
-
-    return [wrapper, no_second_term, identity_warp]
+    return [steep_warp, no_second_term, identity_warp]
 
 
 SUITES = {

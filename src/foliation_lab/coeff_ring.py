@@ -261,14 +261,6 @@ class GridFn:
     def __sub__(self, other):
         return self.add(other.scale(-1.0))
 
-    def __mul__(self, c):
-        return self.scale(c)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self.scale(-1.0)
-
     # -- norms ---------------------------------------------------------------
 
     def sup_norm(self):
@@ -482,14 +474,6 @@ class GaussPolyFn:
 
     def __sub__(self, other):
         return self.add(other.scale(-1.0))
-
-    def __mul__(self, c):
-        return self.scale(c)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self.scale(-1.0)
 
     # -- sampling and norms ----------------------------------------------------
 

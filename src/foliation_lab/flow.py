@@ -400,14 +400,13 @@ def series_compose(f, g, m_max):
     return out
 
 
-def check_composition_identity(k, n, m, trials=20, seed=0, m_max=None):
+def check_composition_identity(n, m, trials=20, seed=0):
     """Max residual of [m](f o g)^n = sum_i ([m] g^i)([i] f^n) over random
     truncated series f, g vanishing at 0.
 
-    The identity is purely formal; k only sets the default truncation order.
+    The identity is purely formal, so no flow order enters it.
     """
-    if m_max is None:
-        m_max = max(m, DEFAULT_M_MAX)
+    m_max = max(m, DEFAULT_M_MAX)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):

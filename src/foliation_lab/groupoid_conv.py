@@ -8,8 +8,7 @@ module implements:
   adjoint         f*(x,t)    = conj f(phi_t(x), -t)
   module actions  (a.g)(x,t) = a(phi_t(x)) g(x,t),  (g.a)(x,t) = a(x) g(x,t)
   Taylor map      T(f) = jet of x-Taylor coefficients of f at x = 0
-  L^1 norms       the plain kernel norm and the weighted variant that carries
-                  the square-root-of-flow-derivative cocycle
+  L^1 norm        sup over x of the larger t-integral of |f| and |f*|
 
 Quadrature is the trapezoid rule on the t-grid; values of f at the off-grid
 points (phi_s(x), t-s) come from cubic interpolation along x (the t argument
@@ -31,13 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .coeff_ring import DEFAULT_SUPPORT_TOL, GridFn, _spline_coeffs, _spline_eval
-from .flow import (
-    FlowDomainError,
-    FlowModel,
-    cocycle_delta_many,
-    flow_derivative_many,
-    flow_eval_many,
-)
+from .flow import FlowDomainError, FlowModel, cocycle_delta_many, flow_eval_many
 from .jet_algebra import Jet
 
 # kernels produced by interpolating operations carry cubic-interpolation
@@ -149,18 +142,6 @@ class GroupoidKernel:
 
     def scale(self, c):
         return GroupoidKernel(self.flow, self.x_grid, self.t_grid, self.samples * c, self.support_tol)
-
-    def __sub__(self, other):
-        self._check_compatible(other)
-        return GroupoidKernel(
-            self.flow, self.x_grid, self.t_grid, self.samples - other.samples, self.support_tol
-        )
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        return GroupoidKernel(
-            self.flow, self.x_grid, self.t_grid, self.samples + other.samples, self.support_tol
-        )
 
     def sup_norm(self):
         return float(np.max(np.abs(self.samples)))
@@ -307,18 +288,3 @@ def l1_groupoid_norm(f):
     direct = np.trapezoid(np.abs(f.samples), dx=dt, axis=1)
     adj = np.trapezoid(np.abs(adjoint(f).samples), dx=dt, axis=1)
     return float(np.max(np.maximum(direct, adj)))
-
-
-def l1_as_norm(f):
-    """The weighted variant: both integrands carry beta = sqrt(phi_t'(x)),
-    with beta = 1 on the isotropy line x = 0."""
-    dt = f.t_grid.step
-    xs = f.x_grid.points
-
-    def weight(kernel):
-        dphi = flow_derivative_many(kernel.flow, kernel.t_grid.points, xs)  # (n_t, n_x)
-        beta = np.sqrt(np.where(np.isnan(dphi), 1.0, dphi)).T
-        beta[np.abs(xs) == 0.0, :] = 1.0
-        return np.trapezoid(np.abs(kernel.samples) * beta, dx=dt, axis=1)
-
-    return float(np.max(np.maximum(weight(f), weight(adjoint(f)))))

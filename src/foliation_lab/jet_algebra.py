@@ -56,11 +56,6 @@ class Jet:
         self._table = table
 
     @classmethod
-    def zero(cls, k, p, like=None):
-        zero = GaussPolyFn.zero() if like is None else _zero_like(like)
-        return cls(k, [zero] * (p + 1))
-
-    @classmethod
     def from_coefficient(cls, k, f, p):
         """The degree-0 jet (f, 0, ..., 0) of truncation order p."""
         return cls(k, [f] + [_zero_like(f)] * p)
@@ -81,9 +76,6 @@ class Jet:
 
     def scale(self, c):
         return Jet(self.k, [a.scale(c) for a in self.coeffs], self._table)
-
-    def __add__(self, other):
-        return self.add(other)
 
     def __sub__(self, other):
         return self.add(other.scale(-1.0))

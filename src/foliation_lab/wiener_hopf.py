@@ -95,36 +95,17 @@ class SymbolLoop:
             return v
         return np.concatenate([v, v[:1]])
 
-    def fredholm_min_modulus(self):
-        return float(np.min(np.abs(self.values)))
-
-    # pointwise loop arithmetic (samplewise; kinds must match)
-
-    def _binary(self, other, op):
+    def __mul__(self, other):
+        """Samplewise product with a scalar or a loop of the same kind and length."""
         if isinstance(other, SymbolLoop):
             if self.kind != other.kind:
                 raise ValueError("cannot combine circle and line loops")
             if self.values.size != other.values.size:
                 raise ValueError("loops have different sample counts")
-            return SymbolLoop(op(self.values, other.values), self.kind)
-        return SymbolLoop(op(self.values, other), self.kind)
-
-    def __mul__(self, other):
-        return self._binary(other, lambda a, b: a * b)
+            other = other.values
+        return SymbolLoop(self.values * other, self.kind)
 
     __rmul__ = __mul__
-
-    def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
-
-    def __radd__(self, other):
-        return self._binary(other, lambda a, b: b + a)
-
-    def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return self._binary(other, lambda a, b: b - a)
 
 
 MAX_ARG_STEP = 0.9 * np.pi  # a sampled step this close to pi means aliasing
@@ -272,10 +253,6 @@ class FiniteSection:
         if not np.all(np.isfinite(m)):
             raise ValueError("finite section entries must be finite")
 
-    @property
-    def n(self):
-        return self.matrix.shape[0]
-
 
 def toeplitz_finite_section(loop, n):
     """Matrix (T_f)_{jk} = fhat(j - k) from the circle Fourier coefficients
@@ -339,12 +316,7 @@ def generator_symbol_loop(n=4096):
     )
 
 
-def boundary_index(loop, residual_tol=0.05):
-    """Index assigned by the extension boundary map: minus the winding."""
-    return -winding_number(loop, residual_tol=residual_tol)
-
-
-def index_report(loop, symbol_id="", residual_tol=0.05):
+def index_report(loop, symbol_id=""):
     raw, residual, minmod, _ = winding_diagnostics(loop)
     return {
         "symbol_id": symbol_id or loop.label,

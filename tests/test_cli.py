@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: configs, overrides, reports, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -189,6 +190,67 @@ def test_failed_check_outranks_error(tmp_path, monkeypatch):
     first = json.loads(open(out).read())["checks"][0]
     assert first["status"] == "error" and first["error"] == "RuntimeError: boom"
     assert first["name"] == "raises"
+
+
+def test_check_and_flag_record_shapes(tmp_path, monkeypatch):
+    from foliation_lab import cli as cli_mod
+
+    @cli_mod._check("largest", "plumbing", 1.0)
+    def largest():
+        yield from (0.5, 2.0, 1.0)
+
+    @cli_mod._check("none", "plumbing", 1.0)
+    def none():
+        yield from ()
+
+    @cli_mod._check("negative", "plumbing", 1.0)
+    def negative():
+        yield from (-3.0, -0.5)
+
+    @cli_mod._check("not_a_number", "plumbing", 1.0)
+    def not_a_number():
+        yield from (0.5, math.nan, 0.25)
+
+    @cli_mod._check("never_reported", "plumbing", 1.0)
+    def breaks_midway():
+        yield 0.5
+        raise RuntimeError("midway")
+
+    def no():
+        return cli_mod._flag("no", "plumbing", False)
+
+    def shapes_suite(cfg):
+        return [largest, none, negative, not_a_number, breaks_midway, no]
+
+    monkeypatch.setitem(SUITES, "shapes", shapes_suite)
+    out = str(tmp_path / "shapes.json")
+    assert main(["shapes", "--out", out]) == 1
+    records = {r["name"]: r for r in json.loads(open(out).read())["checks"]}
+    assert list(records) == ["largest", "none", "negative", "not_a_number", "breaks_midway", "no"]
+    assert (records["largest"]["measured"], records["largest"]["status"]) == (2.0, "fail")
+    assert (records["none"]["measured"], records["none"]["status"]) == (0.0, "pass")
+    assert (records["negative"]["measured"], records["negative"]["status"]) == (0.0, "pass")
+    assert math.isnan(records["not_a_number"]["measured"])
+    assert records["not_a_number"]["status"] == "fail"
+    broken = records["breaks_midway"]
+    assert broken["status"] == "error" and broken["error"] == "RuntimeError: midway"
+    no = records["no"]
+    assert (no["measured"], no["tolerance"], no["status"]) == (1.0, 0.5, "fail")
+
+
+def test_raising_steep_warp_is_named_and_writes_no_csv(tmp_path, monkeypatch):
+    from foliation_lab import wiener_hopf
+
+    def raises(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(wiener_hopf, "nonpreservation_demo", raises)
+    out = str(tmp_path / "demo.json")
+    report = run_suite("demo-nonpreservation", load_config(None, []), out)
+    first = report["checks"][0]
+    assert first["status"] == "error" and first["name"] == "steep_warp"
+    assert first["error"] == "RuntimeError: boom"
+    assert not os.path.exists(str(tmp_path / "demo_norms.csv"))
 
 
 def test_every_record_carries_anchor(tmp_path):

@@ -349,8 +349,8 @@ def test_model_requires_integer_order():
 
 
 def test_composition_identity_cases(rng):
-    assert check_composition_identity(2, 1, 1) <= 1e-15
-    assert check_composition_identity(2, 2, 5, trials=20) <= 1e-12
+    assert check_composition_identity(1, 1) <= 1e-15
+    assert check_composition_identity(2, 5, trials=20) <= 1e-12
     # inner series = identity reduces both sides to [m] f^n
     from foliation_lab.flow import series_power
 

@@ -15,7 +15,6 @@ from foliation_lab.groupoid_conv import (
     GroupoidKernel,
     adjoint,
     convolve,
-    l1_as_norm,
     l1_groupoid_norm,
     module_mult_left,
     module_mult_right,
@@ -327,7 +326,6 @@ def test_taylor_map_requires_zero_inside():
 def test_l1_norms_zero():
     f = make_kernel(FlowModel(2), lambda X, T: np.zeros_like(X))
     assert l1_groupoid_norm(f) == 0.0
-    assert l1_as_norm(f) == 0.0
 
 
 def test_l1_norm_of_product_kernel():
@@ -354,14 +352,6 @@ def test_l1_submultiplicative(rng):
     f, g, *_ = separable_pair(model)
     fg = convolve(f, g)
     assert l1_groupoid_norm(fg) <= l1_groupoid_norm(f) * l1_groupoid_norm(g) * (1 + 1e-6)
-
-
-def test_as_norm_weights_differ_from_plain():
-    model = FlowModel(1)  # beta = e^(t/2) away from x = 0: the weight bites
-    f = make_kernel(
-        model, lambda X, T: mollifier(X, 0.3) * mollifier(T, 0.4), x_radius=0.95
-    )
-    assert l1_as_norm(f) > l1_groupoid_norm(f)
 
 
 # ---------------------------------------------------------------------------

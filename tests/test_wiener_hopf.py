@@ -15,7 +15,6 @@ from foliation_lab.wiener_hopf import (
     SymbolLoop,
     UnderResolvedLoopError,
     bi_index_report,
-    boundary_index,
     cayley_basis_image,
     cayley_gram_matrix,
     finite_section_kernel_counts,
@@ -179,7 +178,6 @@ def test_kernel_counts_examples():
 def test_generator_loop_winds_once():
     loop = generator_symbol_loop()
     assert winding_number(loop) == 1
-    assert boundary_index(loop) == -1
     rep = index_report(loop)
     assert rep["winding"] == 1
     assert rep["boundary_index"] == -1
@@ -241,7 +239,7 @@ def test_loop_arithmetic_guards():
     with pytest.raises(ValueError):
         circle * line
     with pytest.raises(ValueError):
-        circle + SymbolLoop.from_circle_function(lambda z: z, n=128)
+        circle * SymbolLoop.from_circle_function(lambda z: z, n=128)
 
 
 def test_winding_diagnostics_fields():
