@@ -5,25 +5,27 @@ Two interchangeable representations are provided:
 ``GridFn``
     a function sampled on a uniform grid, zero outside the sampled window;
     convolution is discrete quadrature through a zero-padded ``numpy.fft``
-    product (``_fft_convolve``), and evaluation off the grid is the
-    not-a-knot cubic spline of ``_spline_coeffs``, which the groupoid
-    kernels share.
+    product (``_fft_convolve``).  Real samples stay ``float64``.
 
 ``GaussPolyFn``
-    an exact finite sum of atoms ``p(t) * exp(-(t - mean)^2 / (2*variance))``
-    with polynomial ``p``.  The family is closed, in closed form, under
-    convolution, multiplication by polynomials in ``t`` and multiplication
-    by exponentials ``exp(c*t)``, which is everything the twisted jet
-    products require.
+    an exact finite sum of atoms ``p(u) * exp(-u^2 / (2*variance))`` with
+    ``u = t - mean`` and polynomial ``p``.  The family is closed, in closed
+    form, under convolution, multiplication by polynomials in ``t`` and
+    multiplication by exponentials ``exp(c*t)``, which is everything the
+    twisted jet products require.
 
-The exact kernel works on plain coefficient arrays.  Two atoms convolve by
-a Horner Taylor shift of each operand to its mean, the Gaussian moment
-integral as ``A @ H @ B.T`` with the Hankel matrix ``H`` of moments, and one
-shift back to ``t``; its index and binomial tables are built on first use
-per degree.  The operands of every atom convolution are put in a fixed
-order (by mean, variance, then coefficients) and the atoms of every element
-are kept sorted by (mean, variance), so ``f*g`` and ``g*f`` are identical
-bit for bit.  Evaluation is a plain Horner pass per atom.
+The exact kernel works on plain coefficient arrays, each atom's in powers
+of its own ``u``.  Two atoms convolve by the Gaussian moment integral as
+``A @ H @ B.T`` with the Hankel matrix ``H`` of moments; the product is
+centred at the sum of the means, so no polynomial is shifted.  The index and
+binomial tables are built on first use per degree.  The operands of every
+atom convolution are put in a fixed order (by mean, variance, then
+coefficients) and the atoms of every element are kept sorted by (mean,
+variance), so ``f*g`` and ``g*f`` are identical bit for bit.  Every
+polynomial is evaluated by the one Horner pass, ``horner``.
+
+The not-a-knot cubic spline of ``_spline_coeffs`` and ``_spline_eval`` lives
+here too; the groupoid kernels are its one user.
 
 Gaussian atoms are not compactly supported; they decay fast enough that the
 window-edge values of any sampling are far below the support tolerance, and
@@ -37,7 +39,6 @@ from functools import lru_cache
 from math import comb, pi, prod, sqrt
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 DEFAULT_SUPPORT_TOL = 1e-10
 
@@ -48,6 +49,16 @@ class RepresentationMismatchError(TypeError):
 
 class GridMismatchError(ValueError):
     """Raised when two GridFn operands live on incommensurable grids."""
+
+
+def horner(coeffs, t):
+    """The polynomial with ascending coefficients ``coeffs`` at t, by Horner's
+    rule: the operations of ``numpy.polynomial.polynomial.polyval``, in its
+    order, so the values agree bit for bit."""
+    out = coeffs[-1] + t * 0
+    for c in coeffs[-2::-1]:
+        out = c + out * t
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +172,8 @@ class GridFn:
     __slots__ = ("t_start", "t_step", "samples")
 
     def __init__(self, t_start, t_step, samples, support_tol=DEFAULT_SUPPORT_TOL):
-        samples = np.array(samples, dtype=complex)  # own the data
+        samples = np.asarray(samples)
+        samples = np.array(samples, dtype=np.result_type(samples, float))  # own the data
         if samples.ndim != 1 or samples.size == 0:
             raise ValueError("samples must be a nonempty 1-d array")
         if not t_step > 0:
@@ -183,7 +195,7 @@ class GridFn:
     @classmethod
     def from_function(cls, fn, t_start, t_step, count, **kw):
         t = t_start + t_step * np.arange(count)
-        return cls(t_start, t_step, np.asarray(fn(t), dtype=complex), **kw)
+        return cls(t_start, t_step, fn(t), **kw)
 
     @property
     def count(self):
@@ -196,12 +208,6 @@ class GridFn:
     @property
     def t_end(self):
         return self.t_start + self.t_step * (self.count - 1)
-
-    def __call__(self, t):
-        """Evaluate by cubic interpolation, zero outside the window."""
-        t = np.asarray(t, dtype=float)
-        grid = self.t_grid
-        return _spline_eval(grid, _spline_coeffs(grid, self.samples), t.ravel()).reshape(t.shape)
 
     # -- ring operations -----------------------------------------------------
 
@@ -229,23 +235,19 @@ class GridFn:
         conv = _fft_convolve(self.samples, other.samples)
         return GridFn(self.t_start + other.t_start, self.t_step, conv * self.t_step)
 
-    def mul_by_t(self):
-        return GridFn(self.t_start, self.t_step, self.samples * self.t_grid)
-
     def mul_by_exp(self, c):
         return GridFn(self.t_start, self.t_step, self.samples * np.exp(c * self.t_grid))
 
     def mul_by_poly(self, coeffs):
         """Pointwise multiply by the polynomial with ascending coefficients."""
-        vals = npoly.polyval(self.t_grid, np.asarray(coeffs))
-        return GridFn(self.t_start, self.t_step, self.samples * vals)
+        return GridFn(self.t_start, self.t_step, self.samples * horner(coeffs, self.t_grid))
 
     def add(self, other):
         self._check_compatible(other)
         start = min(self.t_start, other.t_start)
         end = max(self.t_end, other.t_end)
         n = int(round((end - start) / self.t_step)) + 1
-        out = np.zeros(n, dtype=complex)
+        out = np.zeros(n, dtype=np.result_type(self.samples, other.samples))
         i = int(round((self.t_start - start) / self.t_step))
         j = int(round((other.t_start - start) / self.t_step))
         out[i : i + self.count] += self.samples
@@ -254,12 +256,6 @@ class GridFn:
 
     def scale(self, c):
         return GridFn(self.t_start, self.t_step, self.samples * c)
-
-    def __add__(self, other):
-        return self.add(other)
-
-    def __sub__(self, other):
-        return self.add(other.scale(-1.0))
 
     # -- norms ---------------------------------------------------------------
 
@@ -280,7 +276,8 @@ class GridFn:
 
 @dataclass(frozen=True)
 class GaussAtom:
-    """One term p(t) * exp(-(t-mean)^2 / (2*variance)); poly ascending."""
+    """One term p(u) * exp(-u^2 / (2*variance)) with u = t - mean; ``poly``
+    holds p's coefficients in ascending powers of u."""
 
     poly: tuple
     mean: float
@@ -315,13 +312,9 @@ def _moment_tables(na, nb):
 
 
 def _poly_shift(coeffs, x0):
-    """Coefficients of p(x0 + y) in y, given p's coefficients in x.
-
-    Horner's Taylor shift keeps the rounding small where the result is
-    evaluated, near y = 0; a product with the matrix C(i, j) x0^(i-j) sums
-    the same terms independently and was more than an order of magnitude
-    less accurate against mpmath quadrature.
-    """
+    """Coefficients of p(x0 + y) in y, given p's coefficients in x, by
+    Horner's Taylor shift; a product with the matrix C(i, j) x0^(i-j) was
+    more than an order of magnitude less accurate against mpmath."""
     c = list(coeffs)
     for i in range(len(c) - 1):
         for j in range(len(c) - 2, i - 1, -1):
@@ -344,10 +337,12 @@ def _convolve_atoms(a, b):
 
     With w = t - mean_a - mean_b, s = variance_a + variance_b and v centred
     Gaussian of variance sig2 = variance_a * variance_b / s, the integrand of
-    (a*b)(t) is p_a(mean_a + w variance_a/s - v) p_b(mean_b + w variance_b/s + v)
-    times the density of v times exp(-w^2 / 2s).  Expanding both factors in
-    (w, v) as A and B, the v-integral is A H B^T with the Hankel matrix H of
-    Gaussian moments, and its antidiagonal sums are the coefficients in w.
+    (a*b)(t) is p_a(w variance_a/s - v) p_b(w variance_b/s + v) times the
+    density of v times exp(-w^2 / 2s), each p in its atom's centred
+    variable.  Expanding both factors in (w, v) as A and B, the v-integral is
+    A H B^T with the Hankel matrix H of Gaussian moments, and its
+    antidiagonal sums are the coefficients in w, the centred variable of the
+    product.
 
     The operands are put in a fixed order first, so a*b and b*a agree bit
     for bit and commutators of exact elements cancel to the zero function.
@@ -357,13 +352,12 @@ def _convolve_atoms(a, b):
         a, b = b, a
     s = a.variance + b.variance
     sig2 = a.variance * b.variance / s
-    A = _split(np.array(_poly_shift(a.poly, a.mean)), a.variance / s, -1.0)
-    B = _split(np.array(_poly_shift(b.poly, b.mean)), b.variance / s, 1.0)
+    A = _split(np.array(a.poly), a.variance / s, -1.0)
+    B = _split(np.array(b.poly), b.variance / s, 1.0)
     hankel, dfact, half, antidiag = _moment_tables(len(A), len(B))
     H = (dfact * sig2**half)[hankel]
     w_poly = (A @ H @ B.T).ravel() @ antidiag * sqrt(2.0 * pi * sig2)
-    t_poly = _poly_shift(w_poly.tolist(), -(a.mean + b.mean))
-    return GaussAtom(tuple(t_poly), a.mean + b.mean, s)
+    return GaussAtom(tuple(w_poly.tolist()), a.mean + b.mean, s)
 
 
 def _poly_add(p, q):
@@ -392,8 +386,6 @@ class GaussPolyFn:
         """Merge atoms with equal (mean, variance) and keep them in key order."""
         merged = {}
         for atom in atoms:
-            if not isinstance(atom, GaussAtom):
-                atom = GaussAtom(tuple(np.asarray(atom[0]).tolist()), atom[1], atom[2])
             key = (atom.mean, atom.variance)
             prev = merged.get(key)
             merged[key] = atom if prev is None else GaussAtom(_poly_add(prev.poly, atom.poly), *key)
@@ -412,14 +404,13 @@ class GaussPolyFn:
         return not self.atoms
 
     def __call__(self, t):
-        """Values at t: a plain Horner pass per atom, summed in atom order."""
+        """Values at t: a Horner pass per atom in its centred variable, summed in
+        atom order; real atoms give ``float64``."""
         t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape, dtype=complex)
+        out = np.zeros(t.shape)
         for atom in self.atoms:
-            vals = atom.poly[-1]
-            for c in atom.poly[-2::-1]:
-                vals = vals * t + c
-            out += vals * np.exp(-((t - atom.mean) ** 2) / (2.0 * atom.variance))
+            u = t - atom.mean
+            out = out + horner(atom.poly, u) * np.exp(-(u**2) / (2.0 * atom.variance))
         return out
 
     # -- ring operations -----------------------------------------------------
@@ -437,20 +428,19 @@ class GaussPolyFn:
         return self.mul_by_poly((0.0, 1.0))
 
     def mul_by_poly(self, coeffs):
-        coeffs = np.asarray(coeffs)
-        return GaussPolyFn(
-            [
-                GaussAtom(tuple(np.convolve(a.poly, coeffs).tolist()), a.mean, a.variance)
-                for a in self.atoms
-            ]
-        )
+        """Multiply by the polynomial with ascending coefficients in t."""
+        out = []
+        for a in self.atoms:
+            poly = np.convolve(a.poly, _poly_shift(coeffs, a.mean))  # the multiplier in powers of u
+            out.append(GaussAtom(tuple(poly.tolist()), a.mean, a.variance))
+        return GaussPolyFn(out)
 
     def mul_by_exp(self, c):
-        # e^{ct} p(t) e^{-(t-m)^2/2v} = [e^{cm + c^2 v/2} p(t)] e^{-(t-m-cv)^2/2v}
+        # e^{ct} p(u) e^{-u^2/2v} = [e^{cm + c^2 v/2} p(u' + cv)] e^{-u'^2/2v}, u' = u - cv
         out = []
         for a in self.atoms:
             scale = np.exp(c * a.mean + c * c * a.variance / 2.0)
-            poly = tuple((np.asarray(a.poly) * scale).tolist())
+            poly = tuple((np.asarray(_poly_shift(a.poly, c * a.variance)) * scale).tolist())
             out.append(GaussAtom(poly, a.mean + c * a.variance, a.variance))
         return GaussPolyFn(out)
 
@@ -477,12 +467,13 @@ class GaussPolyFn:
 
     # -- sampling and norms ----------------------------------------------------
 
-    def support_window(self, n_sigma=12.0):
-        """A window outside which every atom is far below rounding."""
+    def support_window(self):
+        """A window, 12 standard deviations around every atom, outside which
+        every atom is far below rounding."""
         if not self.atoms:
             return (-1.0, 1.0)
-        lo = min(a.mean - n_sigma * sqrt(a.variance) for a in self.atoms)
-        hi = max(a.mean + n_sigma * sqrt(a.variance) for a in self.atoms)
+        lo = min(a.mean - 12.0 * sqrt(a.variance) for a in self.atoms)
+        hi = max(a.mean + 12.0 * sqrt(a.variance) for a in self.atoms)
         return (lo, hi)
 
     def sample(self, t_start, t_step, count, **kw):
@@ -525,7 +516,7 @@ def _bump(u, radius):
 def random_gauss_poly(rng, n_atoms=1, max_degree=2, real=True):
     """Seeded random element of the exact ring (used by suites and tests).
 
-    Polynomial coefficients are drawn in [-1, 1], means in [-2, 2] and
+    Polynomial coefficients in t are drawn in [-1, 1], means in [-2, 2] and
     variances in [0.5, 2].
     """
     atoms = []
@@ -534,7 +525,6 @@ def random_gauss_poly(rng, n_atoms=1, max_degree=2, real=True):
         coeffs = rng.uniform(-1.0, 1.0, deg + 1)
         if not real:
             coeffs = coeffs + 1j * rng.uniform(-1.0, 1.0, deg + 1)
-        atoms.append(
-            GaussAtom(tuple(coeffs.tolist()), float(rng.uniform(-2, 2)), float(rng.uniform(0.5, 2)))
-        )
+        mean, variance = float(rng.uniform(-2, 2)), float(rng.uniform(0.5, 2))
+        atoms.append(GaussAtom(tuple(_poly_shift(coeffs.tolist(), mean)), mean, variance))
     return GaussPolyFn(atoms)

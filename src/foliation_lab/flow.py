@@ -34,6 +34,8 @@ from math import factorial, prod
 
 import numpy as np
 
+from .coeff_ring import horner
+
 MONOMIAL = "monomial"
 COMPLETE_RESCALED = "complete_rescaled"
 
@@ -266,7 +268,7 @@ class FlowCoeff:
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         if self.kind == "poly":
-            return np.polynomial.polynomial.polyval(t, np.asarray(self.poly))
+            return horner(self.poly, t)
         return np.exp(self.rate * t)
 
     def is_zero(self):
@@ -350,14 +352,16 @@ def beta_cocycle(model, x, t):
 
 
 @lru_cache(maxsize=64)
-def _cached_table(k, m_max):
+def taylor_table(k, m_max):
+    """The one cached FlowTaylorTable per (k, m_max); its entries are a fixed
+    formula, so every caller sees the same coefficients."""
     return FlowTaylorTable(k, m_max)
 
 
 def check_cocycle_identity(k, n, m, t, s):
     """max |phi_m^n(t) - sum_i phi_m^i(t-s) phi_i^n(s)| over t and s, which
     broadcast; each point's residual is the one a scalar call gives."""
-    table = _cached_table(k, max(m, DEFAULT_M_MAX))
+    table = taylor_table(k, max(m, DEFAULT_M_MAX))
     lhs = table.coeff(n, m)(t)
     rhs = 0.0
     for i in range(n, m + 1):
@@ -369,13 +373,7 @@ def check_cocycle_identity(k, n, m, t, s):
 
 
 def series_mul(a, b, m_max):
-    out = np.zeros(m_max + 1)
-    for i in range(m_max + 1):
-        if a[i] == 0:
-            continue
-        jtop = m_max - i
-        out[i : i + jtop + 1] += a[i] * b[: jtop + 1]
-    return out
+    return np.convolve(a, b)[: m_max + 1]
 
 
 def series_power(a, n, m_max):

@@ -140,9 +140,6 @@ class GroupoidKernel:
         t_grid = GridSpec(*t_grid)
         return cls(flow, x_grid, t_grid, np.outer(a(x_grid.points), b(t_grid.points)), **kw)
 
-    def scale(self, c):
-        return GroupoidKernel(self.flow, self.x_grid, self.t_grid, self.samples * c, self.support_tol)
-
     def sup_norm(self):
         return float(np.max(np.abs(self.samples)))
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .coeff_ring import GaussPolyFn, random_gauss_poly
-from .flow import FlowTaylorTable
+from .flow import taylor_table
 
 ORDER_CONVENTION = "quotient by x^(p+1) == jets of truncation order p"
 
@@ -41,9 +41,9 @@ def _zero_like(c):
 class Jet:
     """A truncated series with p+1 coefficient functions and flow order k."""
 
-    __slots__ = ("k", "p", "coeffs", "_table")
+    __slots__ = ("k", "p", "coeffs")
 
-    def __init__(self, k, coeffs, table=None):
+    def __init__(self, k, coeffs):
         coeffs = list(coeffs)
         if not coeffs:
             raise ValueError("a jet needs at least the order-0 coefficient")
@@ -53,29 +53,23 @@ class Jet:
         self.k = int(k)
         self.p = len(coeffs) - 1
         self.coeffs = coeffs
-        self._table = table
 
     @classmethod
     def from_coefficient(cls, k, f, p):
         """The degree-0 jet (f, 0, ..., 0) of truncation order p."""
         return cls(k, [f] + [_zero_like(f)] * p)
 
-    def table(self):
-        if self._table is None or self._table.m_max < self.p:
-            self._table = FlowTaylorTable(self.k, max(self.p, 1))
-        return self._table
-
     def truncate(self, q):
         if q > self.p:
             raise ValueError("cannot extend a jet by truncation")
-        return Jet(self.k, self.coeffs[: q + 1], self._table)
+        return Jet(self.k, self.coeffs[: q + 1])
 
     def add(self, other):
         self._check_match(other)
-        return Jet(self.k, [a.add(b) for a, b in zip(self.coeffs, other.coeffs)], self._table)
+        return Jet(self.k, [a.add(b) for a, b in zip(self.coeffs, other.coeffs)])
 
     def scale(self, c):
-        return Jet(self.k, [a.scale(c) for a in self.coeffs], self._table)
+        return Jet(self.k, [a.scale(c) for a in self.coeffs])
 
     def __sub__(self, other):
         return self.add(other.scale(-1.0))
@@ -97,7 +91,7 @@ class Jet:
 def jet_mul(f, g):
     """Twisted product; exact when the coefficients are GaussPolyFn."""
     f._check_match(g)
-    table = f.table()
+    table = taylor_table(f.k, max(f.p, 1))
     out = []
     for q in range(f.p + 1):
         acc = None
@@ -109,21 +103,21 @@ def jet_mul(f, g):
                 term = f.coeffs[n].convolve(c.apply(g.coeffs[q - m]))
                 acc = term if acc is None else acc.add(term)
         out.append(acc)  # phi_0^0 = 1, so every order has at least one term
-    return Jet(f.k, out, table)
+    return Jet(f.k, out)
 
 
 def x_mult_right(f):
     """(f x): shift coefficients up one degree and truncate."""
     if f.p < 1:
         raise ValueError("x-multiplication needs truncation order p >= 1")
-    return Jet(f.k, [_zero_like(f.coeffs[0])] + f.coeffs[: f.p], f._table)
+    return Jet(f.k, [_zero_like(f.coeffs[0])] + f.coeffs[: f.p])
 
 
 def x_mult_left(f):
     """(x f): shift plus the flow twist through the phi_m^1 column."""
     if f.p < 1:
         raise ValueError("x-multiplication needs truncation order p >= 1")
-    table = f.table()
+    table = taylor_table(f.k, f.p)
     out = [None] * (f.p + 1)
     pad = _zero_like(f.coeffs[0])
     out[0] = pad
@@ -136,7 +130,7 @@ def x_mult_left(f):
             term = c.apply(f.coeffs[q - m])
             acc = term if acc is None else acc.add(term)
         out[q] = pad if acc is None else acc
-    return Jet(f.k, out, table)
+    return Jet(f.k, out)
 
 
 def commutator(f, g):

@@ -70,17 +70,17 @@ class SymbolLoop:
         return np.tan(theta / 2.0) / np.pi
 
     @classmethod
-    def from_line_function(cls, fn, n=2048, limit=None, closure_tol=1e-2, label=""):
+    def from_line_function(cls, fn, n=2048, limit=None, label=""):
         """Sample a line symbol on the compactified grid, s increasing.
 
         The loop closes through the point at infinity; the two extreme
-        samples must already agree within ``closure_tol`` (relative), and
-        ``limit``, when given, is appended as the closing value.
+        samples must already agree within 1 % of the loop's largest modulus,
+        and ``limit``, when given, is appended as the closing value.
         """
         s = cls.tangent_grid(n)
         vals = np.asarray(fn(s), dtype=complex)
         span = float(np.max(np.abs(vals))) or 1.0
-        if abs(vals[0] - vals[-1]) > closure_tol * span:
+        if abs(vals[0] - vals[-1]) > 1e-2 * span:
             raise ValueError(
                 "line symbol does not close at infinity: "
                 f"f(-inf)~{vals[0]:.4g} vs f(+inf)~{vals[-1]:.4g}"
@@ -111,20 +111,19 @@ class SymbolLoop:
 MAX_ARG_STEP = 0.9 * np.pi  # a sampled step this close to pi means aliasing
 
 
-def winding_number(loop, residual_tol=0.05, min_modulus=1e-12):
+def winding_number(loop):
     """Total argument increment around the loop, over 2 pi, as an integer.
 
     Raises NonFredholmError when the loop meets the origin and
     UnderResolvedLoopError when the sampling cannot be trusted: either the
     accumulated argument misses every integer multiple of 2 pi by more than
-    ``residual_tol`` turns, or a single step turns by nearly pi (principal
-    branches then wrap, which aliases the count).
+    0.05 turns, or a single step turns by nearly pi (principal branches then
+    wrap, which aliases the count).
     """
-    raw, residual, minmod, max_step = winding_diagnostics(loop, min_modulus=min_modulus)
-    if residual > residual_tol:
+    raw, residual, _, max_step = winding_diagnostics(loop)
+    if residual > 0.05:
         raise UnderResolvedLoopError(
-            f"winding residual {residual:.3g} exceeds {residual_tol}; "
-            "increase the loop resolution"
+            f"winding residual {residual:.3g} exceeds 0.05; increase the loop resolution"
         )
     if max_step > MAX_ARG_STEP:
         raise UnderResolvedLoopError(
@@ -134,11 +133,12 @@ def winding_number(loop, residual_tol=0.05, min_modulus=1e-12):
     return int(round(raw))
 
 
-def winding_diagnostics(loop, min_modulus=1e-12):
-    """(raw winding, distance to nearest integer, min |loop|, max arg step)."""
+def winding_diagnostics(loop):
+    """(raw winding, distance to nearest integer, min |loop|, max arg step);
+    a minimum modulus at or below 1e-12 counts as meeting the origin."""
     v = loop.closed_values()
     minmod = float(np.min(np.abs(v)))
-    if minmod <= min_modulus:
+    if minmod <= 1e-12:
         raise NonFredholmError(
             f"symbol modulus drops to {minmod:.3g}; no index is defined"
         )
@@ -211,9 +211,11 @@ def cayley_basis_image(n):
     return fn
 
 
-def cayley_gram_matrix(indices, t_radius=1000.0, n_points=200001):
-    """Inner products of basis images: quadrature on [-R, R] plus the exact
-    analytic tail of the integrand (whose modulus is 1/(pi (1 + t^2)))."""
+def cayley_gram_matrix(indices):
+    """Inner products of basis images: quadrature on 200,001 points of
+    [-R, R], R = 1000, plus the exact analytic tail of the integrand (whose
+    modulus is 1/(pi (1 + t^2)))."""
+    t_radius, n_points = 1000.0, 200001
     t = np.linspace(-t_radius, t_radius, n_points)
     dt = t[1] - t[0]
     w = np.full(n_points, dt)
@@ -241,10 +243,9 @@ def _cayley_tail(d, radius):
 
 @dataclass(frozen=True)
 class FiniteSection:
-    """An N x N truncation of a Toeplitz operator, with provenance."""
+    """An N x N truncation of a Toeplitz operator."""
 
     matrix: np.ndarray
-    provenance: str = ""
 
     def __post_init__(self):
         m = np.asarray(self.matrix)
@@ -264,16 +265,16 @@ def toeplitz_finite_section(loop, n):
     fft = np.fft.fft(vals) / m  # fft[k] = mean of f(z_j) z_j^{-k} = fhat(k)
     idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % m
     matrix = fft[idx]
-    return FiniteSection(matrix=matrix, provenance=loop.label or "circle loop")
+    return FiniteSection(matrix)
 
 
-def finite_section_kernel_counts(section, tol=1e-10):
-    """(dim ker, dim coker) of the truncation, counted by small singular
-    values.  A diagnostic only: finite sections of shift-like operators grow
+def finite_section_kernel_counts(section):
+    """(dim ker, dim coker) of the truncation, counted by singular values
+    below 1e-10.  A diagnostic only: finite sections of shift-like operators grow
     spurious kernel vectors that the true operator does not have, so the
     index of record always comes from the winding number."""
     svals = np.linalg.svd(np.asarray(section.matrix), compute_uv=False)
-    n_small = int(np.sum(svals < tol))
+    n_small = int(np.sum(svals < 1e-10))
     # the matrix is square, so kernel and cokernel counts coincide
     return n_small, n_small
 
@@ -316,10 +317,10 @@ def generator_symbol_loop(n=4096):
     )
 
 
-def index_report(loop, symbol_id=""):
+def index_report(loop):
     raw, residual, minmod, _ = winding_diagnostics(loop)
     return {
-        "symbol_id": symbol_id or loop.label,
+        "symbol_id": loop.label,
         "winding": int(round(raw)),
         "boundary_index": -int(round(raw)),
         "fredholm_min_modulus": minmod,
@@ -345,14 +346,14 @@ class FlowBiIndex:
             raise ValueError("bi-index components must be +1 or -1")
 
 
-def flow_bi_index(model, probe=0.1):
-    """Bi-index read off the sign of the generating field near 0.
+def flow_bi_index(model):
+    """Bi-index read off the sign of the generating field at x = -0.1 and 0.1.
 
     On the right half-line a positive field pushes away from 0 (source, +1);
     on the left half-line a negative field pushes away from 0 (source, +1).
     """
-    right_field = float(model.vector_field(probe))
-    left_field = float(model.vector_field(-probe))
+    right_field = float(model.vector_field(0.1))
+    left_field = float(model.vector_field(-0.1))
     right = 1 if right_field > 0 else -1
     left = 1 if left_field < 0 else -1
     return FlowBiIndex(left=left, right=right)
@@ -384,13 +385,14 @@ def bi_index_report(model):
 
 class Diffeomorphism:
     """An orientation-preserving diffeomorphism of the line with u' >= floor,
-    inverted numerically (monotone table seed + Newton polish)."""
+    inverted numerically (a monotone table on [-60, 60] as the seed, then
+    Newton polish)."""
 
-    def __init__(self, u, du, label="", table_range=(-60.0, 60.0), table_points=120001):
+    def __init__(self, u, du, label=""):
         self.u = u
         self.du = du
         self.label = label
-        xs = np.linspace(table_range[0], table_range[1], table_points)
+        xs = np.linspace(-60.0, 60.0, 120001)
         us = np.asarray(u(xs), dtype=float)
         if np.any(np.diff(us) <= 0):
             raise ValueError("u is not strictly increasing on the tabulated range")
@@ -437,20 +439,13 @@ class GaussianSpec:
         )
 
 
-def nonpreservation_demo(
-    u,
-    f1,
-    f2,
-    n_max=20,
-    spacing=3.0,
-    grid_step=0.005,
-    grid_lo=-20.0,
-):
+def nonpreservation_demo(u, f1, f2, n_max=20):
     """Norms of (T1 - U^{-1} T2 U) applied to a marching orthonormal family.
 
     T_i is convolution by F f_i after projecting to the right half-line, and
     U is the unitary warp (U xi)(x) = sqrt(u'(x)) xi(u(x)).  The test vectors
-    xi_n are disjoint translates of one smooth unit bump on [0, 2].  Each
+    xi_n are one smooth unit bump on [0, 2] translated by 3n, so disjoint,
+    sampled with step 0.005 on [-20, 3 n_max + 20).  Each
     record reports the full difference norm, the constant first-term norm a,
     and the L^2 and sup norms of the pulled-back second term, so a steep
     warp (u' -> infinity) shows the first term pinned at a while the second
@@ -458,7 +453,7 @@ def nonpreservation_demo(
     """
     if not isinstance(u, Diffeomorphism):
         raise ValueError("u must be a Diffeomorphism descriptor")
-    x = np.arange(grid_lo, spacing * n_max + 20.0, grid_step)
+    x = np.arange(-20.0, 3.0 * n_max + 20.0, 0.005)
     dx = x[1] - x[0]
     proj = x >= 0.0
 
@@ -491,12 +486,9 @@ def nonpreservation_demo(
 
     records = []
     for n in range(n_max + 1):
-        shift = int(round(spacing * n / dx))
+        shift = int(round(3.0 * n / dx))
         xi_n = np.zeros_like(xi0)
-        if shift:
-            xi_n[shift:] = xi0[:-shift]
-        else:
-            xi_n[:] = xi0
+        xi_n[shift:] = xi0[: xi0.size - shift]
 
         t1 = conv1(xi_n * proj)
 

@@ -274,13 +274,15 @@ def test_cli_import_loads_no_scipy_signal():
 
 
 def test_cli_import_loads_no_scipy():
-    # a fresh interpreter, because the oracle tests load scipy into this one;
-    # verify-flow and verify-groupoid run the rescaled flow and the spline
+    # a fresh interpreter, because the oracle tests load scipy and
+    # numpy.polynomial into this one; verify-flow and verify-groupoid run the
+    # rescaled flow, the Taylor tables and the spline
     code = (
         "import sys, foliation_lab.cli as cli; "
         "cfg = cli.load_config(None, ['k_values=[2]']); "
         "[cli.run_suite(name, cfg) for name in ('verify-flow', 'verify-groupoid')]; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+        " or m.startswith('numpy.polynomial')))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300, check=True)
     assert out.stdout.strip() == "[]"

@@ -17,6 +17,8 @@ from foliation_lab.coeff_ring import (
     RepresentationMismatchError,
     _fft_convolve,
     _spline_coeffs,
+    _spline_eval,
+    horner,
     random_gauss_poly,
 )
 from foliation_lab.cli import _grids, load_config
@@ -84,35 +86,87 @@ def test_convolution_is_bitwise_commutative(rng, real):
     assert f.convolve(g).atoms == g.convolve(f).atoms
 
 
-def _random_atom(rng, degree, real):
+def _random_atom(rng, degree, real, means=(-2, 2)):
     coeffs = rng.uniform(-1.0, 1.0, degree + 1)
     if not real:
         coeffs = coeffs + 1j * rng.uniform(-1.0, 1.0, degree + 1)
-    return GaussAtom(tuple(coeffs.tolist()), float(rng.uniform(-2, 2)), float(rng.uniform(0.5, 2)))
+    return GaussAtom(tuple(coeffs.tolist()), float(rng.uniform(*means)), float(rng.uniform(0.5, 2)))
 
 
-def test_atom_convolution_matches_mpmath_quadrature(rng):
-    # 20-digit quadrature of the defining integral, split at the centre of
-    # the Gaussian product, for degrees up to 6, real and complex
-    mpmath = pytest.importorskip("mpmath")
+def _mpmath_convolution_gaps(mpmath, a, b, ts):
+    """|h(t) - (a*b)(t)| at each t for h the library convolution of the atoms
+    a and b, against 20-digit quadrature of the defining integral split at
+    the centre of the Gaussian product."""
 
     def as_mp(atom):
         coeffs = [mpmath.mpmathify(c) for c in reversed(atom.poly)]
-        return lambda u: mpmath.polyval(coeffs, u) * mpmath.exp(
+        return lambda u: mpmath.polyval(coeffs, u - atom.mean) * mpmath.exp(
             -((u - atom.mean) ** 2) / (2 * atom.variance)
         )
 
+    h = GaussPolyFn([a]).convolve(GaussPolyFn([b]))
+    fa, fb = as_mp(a), as_mp(b)
+    gaps = []
     with mpmath.mp.workdps(20):
-        for real in (True, True, False, False):
-            a = _random_atom(rng, 6, real)
-            b = _random_atom(rng, int(rng.integers(0, 7)), real)
-            h = GaussPolyFn([a]).convolve(GaussPolyFn([b]))
-            fa, fb = as_mp(a), as_mp(b)
-            peak = h.sup_norm()
-            for t in (a.mean + b.mean + rng.uniform(-3, 3, 2)).tolist():
-                centre = (b.variance * (t - a.mean) + a.variance * b.mean) / (a.variance + b.variance)
-                want = mpmath.quad(lambda s: fa(t - s) * fb(s), [-mpmath.inf, centre, mpmath.inf])
-                assert abs(complex(h(t)) - complex(want)) <= 1e-12 * peak
+        for t in ts:
+            centre = (b.variance * (t - a.mean) + a.variance * b.mean) / (a.variance + b.variance)
+            want = mpmath.quad(lambda s: fa(t - s) * fb(s), [-mpmath.inf, centre, mpmath.inf])
+            gaps.append(abs(complex(h(t)) - complex(want)))
+    return gaps, h.sup_norm()
+
+
+def test_atom_convolution_matches_mpmath_quadrature(rng):
+    # degrees up to 6, real and complex
+    mpmath = pytest.importorskip("mpmath")
+    for real in (True, True, False, False):
+        a = _random_atom(rng, 6, real)
+        b = _random_atom(rng, int(rng.integers(0, 7)), real)
+        ts = (a.mean + b.mean + rng.uniform(-3, 3, 2)).tolist()
+        gaps, peak = _mpmath_convolution_gaps(mpmath, a, b, ts)
+        assert max(gaps) <= 1e-12 * peak
+
+
+def test_far_atom_convolution_matches_mpmath_quadrature(rng):
+    # means in [10, 14]: in powers of t the coefficients of such atoms cancel
+    # when evaluated near the mean; in the centred variable they do not
+    mpmath = pytest.importorskip("mpmath")
+    for real in (True, False, True):
+        a = _random_atom(rng, int(rng.integers(3, 7)), real, means=(10, 14))
+        b = _random_atom(rng, int(rng.integers(3, 7)), real, means=(10, 14))
+        ts = (a.mean + b.mean + rng.uniform(-3, 3, 3)).tolist()
+        gaps, peak = _mpmath_convolution_gaps(mpmath, a, b, ts)
+        assert max(gaps) <= 1e-12 * peak
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+@pytest.mark.parametrize("degree", [0, 1, 5])
+def test_horner_matches_polyval_bitwise(rng, cplx, degree):
+    from numpy.polynomial.polynomial import polyval  # the oracle; the package does not load it
+
+    coeffs = rng.uniform(-1.0, 1.0, degree + 1)
+    if cplx:
+        coeffs = coeffs + 1j * rng.uniform(-1.0, 1.0, degree + 1)
+    ts = rng.uniform(-15.0, 15.0, 101)
+    for t in (ts, ts.reshape(-1, 1), ts[0], np.asarray(ts[1])):
+        for c in (coeffs, tuple(coeffs.tolist())):
+            got, want = horner(c, t), polyval(t, coeffs)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want)
+
+
+def test_atoms_are_stored_centred():
+    # t * exp(-(t-3)^2/2) is (u + 3) exp(-u^2/2) with u = t - 3
+    f = GaussPolyFn.gaussian(mean=3.0).mul_by_t()
+    assert f.atoms == (GaussAtom((3.0, 1.0), 3.0, 1.0),)
+    # u exp(-u^2/2) at means 1 and 2 convolve to sqrt(pi) (u^2/4 - 1/2)
+    # exp(-u^2/4), centred at 3 with u = t - 3: nothing is shifted
+    g = GaussPolyFn([GaussAtom((0.0, 1.0), 1.0, 1.0)]).convolve(
+        GaussPolyFn([GaussAtom((0.0, 1.0), 2.0, 1.0)])
+    )
+    (atom,) = g.atoms
+    assert (atom.mean, atom.variance) == (3.0, 2.0)
+    want = np.sqrt(np.pi) * np.array([-0.5, 0.0, 0.25])
+    np.testing.assert_allclose(atom.poly, want, rtol=1e-14, atol=1e-15)
 
 
 def test_mul_by_t_definition():
@@ -243,28 +297,25 @@ def test_spline_coeffs_match_cubic_spline(rng, overrides, k, cplx):
 
 
 @pytest.mark.parametrize("count", [2, 3, 4, 401])
-def test_gridfn_call_matches_cubic_spline(rng, count):
+def test_spline_eval_matches_cubic_spline(rng, count):
+    # two and three nodes take the line and parabola branch; every point
+    # outside the window, and NaN, evaluates to 0
     from scipy.interpolate import CubicSpline  # the oracle
 
-    t_start, t_step = -2.0, 4.0 / (count - 1)
+    x = np.linspace(-2.0, 2.0, count)
     samples = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-    f = GridFn(t_start, t_step, samples, support_tol=np.inf)  # nonzero at the window ends
-    end = f.t_end
     ts = np.concatenate(
         [
-            rng.uniform(t_start, end, 50),
-            f.t_grid,  # the nodes, the window ends among them
-            [t_start - 1e-12, end + 1e-12, -3.0, 3.0, np.nan],  # outside: 0
+            rng.uniform(-2.0, 2.0, 50),
+            x,  # the nodes, the window ends among them
+            [-2.0 - 1e-12, 2.0 + 1e-12, -3.0, 3.0, np.nan],  # outside: 0
         ]
     )
-    want = CubicSpline(f.t_grid, samples, extrapolate=False)(ts)
+    want = CubicSpline(x, samples, extrapolate=False)(ts)
     want = np.where(np.isnan(want), 0.0, want)
-    got = f(ts)
+    got = _spline_eval(x, _spline_coeffs(x, samples), ts)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(samples))
     assert np.all(got[-5:] == 0.0)
-    # the shape follows the argument, a scalar included
-    assert f(ts.reshape(-1, 1)).shape == (ts.size, 1)
-    assert f(ts[0]).shape == () and f(ts[0]) == got[0]
 
 
 def test_grid_convolution_associative_and_commutative(rng):
@@ -273,11 +324,21 @@ def test_grid_convolution_associative_and_commutative(rng):
         f = random_gauss_poly(rng)
         fns.append(f.sample(-14.0, 0.01, 2801))
     f, g, h = fns
-    comm = f.convolve(g) - g.convolve(f)
-    assert comm.sup_norm() <= 1e-8 * max(f.convolve(g).sup_norm(), 1.0)
-    lhs = f.convolve(g).convolve(h)
+    fg = f.convolve(g)
+    assert np.max(np.abs(fg.samples - g.convolve(f).samples)) <= 1e-8 * max(fg.sup_norm(), 1.0)
+    lhs = fg.convolve(h)
     rhs = f.convolve(g.convolve(h))
-    assert (lhs - rhs).sup_norm() <= 1e-8 * max(lhs.sup_norm(), 1.0)
+    assert lhs.t_start == rhs.t_start
+    assert np.max(np.abs(lhs.samples - rhs.samples)) <= 1e-8 * max(lhs.sup_norm(), 1.0)
+
+
+def test_real_grid_functions_stay_real():
+    g = _sampled_gaussian(step=0.05, radius=8.0)
+    sampled = GaussPolyFn.gaussian(mean=0.5).sample(-8.0, 0.05, 321)
+    real = [g, sampled, g.convolve(sampled), g.add(sampled), g.mul_by_poly((0.0, 1.0)), g.mul_by_exp(0.5)]
+    assert all(h.samples.dtype == np.float64 for h in real)
+    cplx = GridFn(-8.0, 0.05, g.samples * 1j)
+    assert g.convolve(cplx).samples.dtype == g.add(cplx).samples.dtype == np.complex128
 
 
 def test_grid_zero_convolution():

@@ -42,7 +42,7 @@ def quad_convolution_oracle(model, f_fn, g_fn, x, t, s_lo=-0.5, s_hi=0.5, n=4001
 def test_convolve_with_zero_is_zero():
     model = FlowModel(2)
     f, _, a, b, _ = separable_pair(model)
-    z = f.scale(0.0)
+    z = GroupoidKernel(model, f.x_grid, f.t_grid, np.zeros_like(f.samples))
     assert convolve(f, z).sup_norm() == 0.0
     assert convolve(z, f).sup_norm() == 0.0
 
@@ -193,7 +193,7 @@ def test_kernels_keep_sample_dtype():
     ]
     assert all(h.samples.dtype == np.float64 for h in real)
 
-    z = f.scale(1j)
+    z = GroupoidKernel(model, f.x_grid, f.t_grid, f.samples * 1j)
     cplx = [
         z,
         convolve(z, g),
