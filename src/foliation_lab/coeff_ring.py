@@ -24,8 +24,9 @@ coefficients) and the atoms of every element are kept sorted by (mean,
 variance), so ``f*g`` and ``g*f`` are identical bit for bit.  Every
 polynomial is evaluated by the one Horner pass, ``horner``.
 
-The not-a-knot cubic spline of ``_spline_coeffs`` and ``_spline_eval`` lives
-here too; the groupoid kernels are its one user.
+The not-a-knot cubic spline of ``_spline_coeffs``, with its interval lookup
+``_spline_locate`` and Horner pass ``_spline_horner``, lives here too; the
+groupoid kernels are its one user.
 
 Gaussian atoms are not compactly supported; they decay fast enough that the
 window-edge values of any sampling are far below the support tolerance, and
@@ -132,29 +133,40 @@ def _spline_coeffs(x, y):
             rows[i] -= upper[i] * rows[i + 1]
             rows[i] /= diag[i]
     # the Hermite coefficients from values and slopes, as CubicHermiteSpline
-    t = (s[:-1] + s[1:] - 2 * slope) / dxr
-    return np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
+    # computes them, written plane by plane into one array: c[0] first holds
+    # t = (s[:-1] + s[1:] - 2 slope) / dx, then becomes t / dx
+    c = np.empty((4,) + slope.shape, dtype=slope.dtype)
+    c[3] = y[:-1]
+    c[2] = s[:-1]
+    t = np.add(s[:-1], s[1:], out=c[0])
+    t -= np.multiply(2, slope, out=c[1])
+    t /= dxr
+    np.subtract(slope, s[:-1], out=c[1])
+    c[1] /= dxr
+    c[1] -= t
+    t /= dxr
+    return c
 
 
-def _spline_eval(x, c, at, cols=None):
-    """Evaluate the spline with nodes x and coefficients c at the points
-    ``at`` by one Horner pass: 0 outside [x[0], x[-1]] and at NaN.
+def _spline_locate(x, at):
+    """The spline interval of each point ``at`` for nodes x, found as
+    CubicSpline finds it (the window end falls in the last one).
 
-    Without ``cols`` each point gets every trailing column of c, so the
-    result has shape ``at.shape + c.shape[2:]``.  With ``cols``
-    (broadcastable to ``at``) each point is evaluated in its own column of
-    c's last axis only.  Intervals are found as CubicSpline finds them: the
-    window end falls in the last one.
+    Returns ``(idx, dx, outside)``: the interval index, the offset from its
+    left node, and the mask of points outside [x[0], x[-1]] or NaN, which
+    are located at x[0] so that they stay finite.
     """
     outside = ~((at >= x[0]) & (at <= x[-1]))
     at = np.where(outside, x[0], at)
     idx = np.clip(np.searchsorted(x, at, side="right") - 1, 0, x.size - 2)
-    dx = at - x[idx]
-    if cols is None:
-        pick = (idx,)
-        dx = dx.reshape(dx.shape + (1,) * (c.ndim - 2))
-    else:
-        pick = (idx, cols)
+    return idx, at - x[idx], outside
+
+
+def _spline_horner(c, pick, dx, outside):
+    """The spline with coefficients c at located points, by one Horner pass:
+    ``c[(m, *pick)]`` is plane m at those points, dx (broadcastable against
+    it) their offsets, and rows of the result where ``outside`` holds are 0.
+    """
     # ((c0 dx + c1) dx + c2) dx + c3, in place
     vals = c[(0, *pick)] * dx
     vals += c[(1, *pick)]

@@ -13,13 +13,19 @@ module implements:
 Quadrature is the trapezoid rule on the t-grid; values of f at the off-grid
 points (phi_s(x), t-s) come from cubic interpolation along x (the t argument
 stays on-grid because both operands share one t-step).  The interpolant is
-the not-a-knot cubic spline of ``coeff_ring._spline_coeffs``, evaluated by
-``coeff_ring._spline_eval``; for each quadrature node the convolution
-evaluates it only on the rows where g's column is nonzero.  Products get an
-enlarged t-window equal to the sum of the operand windows; the x-window is
-unchanged.  The adjoint needs f at (phi_tau(x), -tau) only, so for each output
-time it evaluates the x-interpolant of the one mirrored column, straight from
-the spline's piecewise coefficients.
+the not-a-knot cubic spline of ``coeff_ring._spline_coeffs``, whose
+coefficients equal ``CubicSpline``'s bit for bit; ``_spline_locate`` finds the
+interval of each point and ``_spline_horner`` evaluates there.  The
+convolution checks the flow domain and locates every warped node once per
+product; for each quadrature node it evaluates the spline only on the
+contiguous rows between g's first and last nonzero row of that column.
+Products get an enlarged t-window equal to the sum of the operand windows;
+the x-window is unchanged.  The adjoint needs f at (phi_tau(x), -tau) only, so
+for each output time it evaluates the x-interpolant of the one mirrored
+column, straight from the spline's piecewise coefficients.  Both build and
+evaluate the spline on f's window of t-columns between its first and last
+nonzero one only: a zero column has a zero spline and adds exact zeros, so
+every result is the same bit for bit as with the full spline.
 
 Kernels keep the dtype of their samples: real samples stay float64 through
 every operation, and a result is complex only when an input is.
@@ -29,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coeff_ring import DEFAULT_SUPPORT_TOL, GridFn, _spline_coeffs, _spline_eval
+from .coeff_ring import DEFAULT_SUPPORT_TOL, GridFn, _spline_coeffs, _spline_horner, _spline_locate
 from .flow import FlowDomainError, FlowModel, cocycle_delta_many, flow_eval_many
 from .jet_algebra import Jet
 
@@ -152,6 +158,12 @@ class GroupoidKernel:
             raise ValueError("t-step mismatch")
 
 
+def _nonzero_span(mask):
+    """(first, last + 1) of the true entries of a 1-d mask; (0, 0) if none."""
+    nz = np.flatnonzero(mask)
+    return (int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0)
+
+
 def convolve(f, g):
     """(f*g)(x,t) = integral f(phi_s(x), t-s) g(x,s) ds on the shared grid.
 
@@ -170,26 +182,32 @@ def convolve(f, g):
 
     peak = max(g.sup_norm(), 1.0)
     tol = min(g.support_tol, DERIVED_SUPPORT_TOL) * peak
-    spline = _spline_coeffs(xs, f.samples)
+    mass = np.abs(g.samples.T) > tol  # (n_s, n_x)
+    bad = np.isnan(warped) & mass
+    if np.any(bad):
+        l, i = np.argwhere(bad)[0]
+        raise FlowDomainError(
+            f"convolution quadrature leaves the flow domain at s={s_vals[l]:g}, x={xs[i]:g}"
+        )
+    # f's t-columns outside c0:c1 are zero, so their spline is zero and they
+    # would add exact zeros
+    c0, c1 = _nonzero_span(np.any(f.samples, axis=0))
+    spline = _spline_coeffs(xs, f.samples[:, c0:c1])
+    idx, offset, outside = _spline_locate(xs, warped)
     trap_w = np.ones(g.t_grid.count)
     trap_w[0] = trap_w[-1] = 0.5
 
-    for l in range(g.t_grid.count):
-        g_col = g.samples[:, l]
-        col_mask = np.abs(g_col) > tol
-        if not np.any(col_mask):
-            continue
-        bad = np.isnan(warped[l]) & col_mask
-        if np.any(bad):
-            raise FlowDomainError(
-                f"convolution quadrature leaves the flow domain at "
-                f"s={s_vals[l]:g}, x={xs[bad][0]:g}"
-            )
-        # a row where g is exactly zero would add exactly zero
-        rows = np.flatnonzero(g_col)
-        f_slab = _spline_eval(xs, spline, warped[l, rows])  # (n_rows, n_t_f)
-        out[rows, l : l + f.t_grid.count] += (trap_w[l] * dt) * f_slab * g_col[rows, None]
+    for l in np.flatnonzero(np.any(mass, axis=1)):
+        # the rows from g's first to last nonzero one; a zero row between
+        # them adds exact zeros
+        lo, hi = _nonzero_span(g.samples[:, l])
+        f_slab = _spline_horner(spline, (idx[l, lo:hi],), offset[l, lo:hi, None], outside[l, lo:hi])
+        out[lo:hi, l + c0 : l + c1] += (trap_w[l] * dt) * f_slab * g.samples[lo:hi, l, None]
 
+    # freed before the kernel copies out, so that the copy can reuse their
+    # memory; with them alive the copy took about twice as long on the
+    # refined grids
+    del idx, offset, outside, spline
     t_grid = GridSpec(f.t_grid.start + g.t_grid.start, dt, n_out)
     return GroupoidKernel(flow, f.x_grid, t_grid, out, f.support_tol)
 
@@ -203,12 +221,20 @@ def adjoint(f):
     """
     flow = f.flow
     xs = f.x_grid.points
-    t_grid = GridSpec(-f.t_grid.end, f.t_grid.step, f.t_grid.count)
+    n_t = f.t_grid.count
+    t_grid = GridSpec(-f.t_grid.end, f.t_grid.step, n_t)
     warped = flow_eval_many(flow, t_grid.points, xs)  # (n_t, n_x)
 
-    # f at (phi_tau(x), -tau); -tau is the mirrored on-grid column
-    mirrored = np.arange(t_grid.count)[::-1, None]
-    vals = _spline_eval(xs, _spline_coeffs(xs, f.samples), warped, cols=mirrored)  # (n_t, n_x)
+    # f at (phi_tau(x), -tau); -tau is the mirrored on-grid column, so f's
+    # nonzero columns c0:c1 fill the output times n_t - c1 : n_t - c0
+    c0, c1 = _nonzero_span(np.any(f.samples, axis=0))
+    times = slice(n_t - c1, n_t - c0)
+    idx, offset, outside = _spline_locate(xs, warped[times])
+    mirrored = np.arange(c1 - c0)[::-1, None]
+    vals = np.zeros((n_t, xs.size), dtype=f.samples.dtype)  # (n_t, n_x)
+    vals[times] = _spline_horner(
+        _spline_coeffs(xs, f.samples[:, c0:c1]), (idx, mirrored), offset, outside
+    )
     out = np.conj(vals.T)
     return GroupoidKernel(
         flow, f.x_grid, t_grid, out, max(f.support_tol, DERIVED_SUPPORT_TOL)

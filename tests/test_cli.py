@@ -238,6 +238,17 @@ def test_check_and_flag_record_shapes(tmp_path, monkeypatch):
     assert (no["measured"], no["tolerance"], no["status"]) == (1.0, 0.5, "fail")
 
 
+@pytest.mark.parametrize("k", [12, 16])
+def test_contact_order_fails_when_the_variants_agree(k):
+    # from k = 12 the flows agree to the last bit at x = 0.05 (from k = 16
+    # at x = 0.1 as well), so the Richardson ratio has nothing to measure
+    cfg = load_config(None, [f"k_values=[{k}]"])
+    (check,) = [c for c in SUITES["verify-flow"](cfg) if c.__name__ == "variant_agreement"]
+    record = check()
+    assert record["name"] == "monomial_vs_rescaled_contact_order"
+    assert math.isnan(record["measured"]) and record["status"] == "fail"
+
+
 def test_raising_steep_warp_is_named_and_writes_no_csv(tmp_path, monkeypatch):
     from foliation_lab import wiener_hopf
 

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from conftest import make_kernel, mollifier, plateau
+from foliation_lab.coeff_ring import _spline_coeffs
 from foliation_lab.flow import COMPLETE_RESCALED, FlowDomainError, FlowModel, flow_eval_many
 from foliation_lab.groupoid_conv import (
+    DERIVED_SUPPORT_TOL,
     GridSpec,
     GroupoidKernel,
     adjoint,
@@ -170,9 +172,77 @@ def test_adjoint_matches_column_loop(k, complex_kernel):
     # at t = 0 the warped point is the window end itself
     j0 = int(np.argmin(np.abs(f.t_grid.points)))
     assert f.t_grid.points[j0] == 0.0 and warped[j0, -1] == f.x_grid.end
-    want = adjoint_column_loop(f)
-    got = adjoint(f).samples
-    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # the second input's t-support sits off centre, so its leading and
+    # trailing zero columns differ in number
+    g = GroupoidKernel.from_function(
+        model,
+        f.x_grid,
+        f.t_grid,
+        lambda X, T: mollifier(X, 0.3)
+        * mollifier(T - 0.2, 0.25)
+        * (1 - X)
+        * (np.exp(-0.4j * T) if complex_kernel else 1.0),
+    )
+    assert not np.any(g.samples[:, :35]) and not np.any(g.samples[:, -30:])
+    for h in (f, g):
+        want = adjoint_column_loop(h)
+        got = adjoint(h).samples
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def convolve_column_loop(f, g):
+    """The convolution node by node: g's nonzero rows gathered by fancy
+    indexing, an interval lookup per node, and the spline of every t-column
+    of f, zero or not."""
+    xs = f.x_grid.points
+    warped = flow_eval_many(f.flow, g.t_grid.points, xs)
+    tol = min(g.support_tol, DERIVED_SUPPORT_TOL) * max(g.sup_norm(), 1.0)
+    c = _spline_coeffs(xs, f.samples)
+    trap_w = np.ones(g.t_grid.count)
+    trap_w[0] = trap_w[-1] = 0.5
+    n_out = f.t_grid.count + g.t_grid.count - 1
+    out = np.zeros((xs.size, n_out), dtype=np.result_type(f.samples, g.samples))
+    for l in range(g.t_grid.count):
+        g_col = g.samples[:, l]
+        if not np.any(np.abs(g_col) > tol):
+            continue
+        rows = np.flatnonzero(g_col)
+        at = warped[l, rows]
+        outside = ~((at >= xs[0]) & (at <= xs[-1]))
+        at = np.where(outside, xs[0], at)
+        idx = np.clip(np.searchsorted(xs, at, side="right") - 1, 0, xs.size - 2)
+        dx = (at - xs[idx])[:, None]
+        vals = ((c[0, idx] * dx + c[1, idx]) * dx + c[2, idx]) * dx + c[3, idx]
+        vals[outside] = 0.0
+        out[rows, l : l + f.t_grid.count] += (trap_w[l] * f.t_grid.step) * vals * g_col[rows, None]
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("complex_kernel", [False, True])
+def test_convolve_matches_column_loop(k, complex_kernel):
+    model = FlowModel(k)
+    twist = (lambda T: np.exp(0.7j * T)) if complex_kernel else (lambda T: 1.0)
+    # f's t-support [-0.15, 0.35] leaves zero columns at both ends of its window
+    f = make_kernel(
+        model, lambda X, T: mollifier(X, 0.3) * mollifier(T - 0.1, 0.25) * (1 + X) * twist(T)
+    )
+    assert not np.any(f.samples[:, :18]) and not np.any(f.samples[:, -8:])
+    # g is zero on the rows 0.03 < x < 0.07, inside its x-support
+    g = make_kernel(
+        model,
+        lambda X, T: mollifier(X, 0.3)
+        * mollifier(T, 0.4)
+        * np.cos(2 * T)
+        * (np.abs(X - 0.05) >= 0.02),
+    )
+    inner = np.abs(g.x_grid.points - 0.05) < 0.02
+    assert np.any(inner) and not np.any(g.samples[inner]) and np.any(g.samples[g.x_grid.points < 0])
+    zero = GroupoidKernel(model, f.x_grid, f.t_grid, np.zeros_like(f.samples))
+    for a, b in ((f, g), (g, f), (f, f), (zero, g), (g, zero)):
+        got = convolve(a, b).samples
+        want = convolve_column_loop(a, b)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_kernels_keep_sample_dtype():
