@@ -21,8 +21,19 @@ centred at the sum of the means, so no polynomial is shifted.  The index and
 binomial tables are built on first use per degree.  The operands of every
 atom convolution are put in a fixed order (by mean, variance, then
 coefficients) and the atoms of every element are kept sorted by (mean,
-variance), so ``f*g`` and ``g*f`` are identical bit for bit.  Every
-polynomial is evaluated by the one Horner pass, ``horner``.
+variance), so ``f*g`` and ``g*f`` are identical bit for bit.  The product
+of each ordered atom pair is memoised for the last ``ATOM_PAIR_MEMO_SIZE``
+(2,048) distinct pairs, about one jets-exact pass; the key is the two atoms
+and the type of every coefficient, so float and complex coefficients of
+equal value never share an entry.  Every polynomial is evaluated by the one
+Horner pass, ``horner``.
+
+One evaluator, ``GaussPolyFn._values``, serves ``__call__``, ``sample`` and
+``sup_norm``.  It sums the atoms from zero in atom order, each through
+preallocated buffers, or all at once on an (atoms x points) array for the
+short grids of the sup-norm refinements.  ``sup_norm`` searches the window
+12 standard deviations around every atom: 4,001 evenly spaced points, then
+three 81-point grids around the running argmax.
 
 The not-a-knot cubic spline of ``_spline_coeffs``, with its interval lookup
 ``_spline_locate`` and Horner pass ``_spline_horner``, lives here too; the
@@ -35,6 +46,7 @@ we treat them as effectively compact.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, pi, prod, sqrt
@@ -52,13 +64,24 @@ class GridMismatchError(ValueError):
     """Raised when two GridFn operands live on incommensurable grids."""
 
 
-def horner(coeffs, t):
+def horner(coeffs, t, out=None):
     """The polynomial with ascending coefficients ``coeffs`` at t, by Horner's
     rule: the operations of ``numpy.polynomial.polynomial.polyval``, in its
-    order, so the values agree bit for bit."""
-    out = coeffs[-1] + t * 0
+    order, so the values agree bit for bit.
+
+    Given ``out``, an array of the result's shape and dtype, the pass runs in
+    place there.  It is seeded with ``coeffs[-1]`` itself rather than
+    ``coeffs[-1] + t * 0``, which can differ only in the sign of a zero.
+    """
+    if out is None:
+        out = coeffs[-1] + t * 0
+        for c in coeffs[-2::-1]:
+            out = c + out * t
+        return out
+    out[...] = coeffs[-1]
     for c in coeffs[-2::-1]:
-        out = c + out * t
+        out *= t
+        out += c
     return out
 
 
@@ -301,14 +324,16 @@ class GaussAtom:
 
 
 @lru_cache(maxsize=None)
-def _split_tables(n):
-    """For q(cw*w + cv*v) with deg q < n: the index i + j (clipped) and
-    C(i + j, j), zero where i + j >= n."""
+def _split_tables(n, sign):
+    """For q(cw*w + sign*v) with deg q < n and sign = +-1: the index i + j
+    (clipped), C(i + j, j) sign^j, zero where i + j >= n, and the powers
+    0..n-1 as a column."""
     i, j = np.indices((n, n))
     binom = np.array(
-        [[comb(r + c, c) if r + c < n else 0 for c in range(n)] for r in range(n)], dtype=float
+        [[comb(r + c, c) * sign**c if r + c < n else 0 for c in range(n)] for r in range(n)],
+        dtype=float,
     )
-    return np.minimum(i + j, n - 1), binom, np.arange(n)
+    return np.minimum(i + j, n - 1), binom, np.arange(n)[:, None]
 
 
 @lru_cache(maxsize=None)
@@ -334,18 +359,43 @@ def _poly_shift(coeffs, x0):
     return c
 
 
-def _split(coeffs, cw, cv):
-    """[i, j] coefficient of w^i v^j in q(cw*w + cv*v), q given by its coefficients."""
-    index, binom, powers = _split_tables(coeffs.size)
-    return coeffs[index] * binom * np.outer(cw**powers, cv**powers)
+def _split(coeffs, cw, sign):
+    """[i, j] coefficient of w^i v^j in q(cw*w + sign*v), q given by its
+    coefficients.  The factor sign^j rides on the binomial table: a factor
+    +-1 is exact, so this equals coeffs[i + j] C(i + j, j) times the outer
+    product cw^i sign^j bit for bit."""
+    index, binom, powers = _split_tables(coeffs.size, sign)
+    return coeffs[index] * binom * cw**powers
 
 
 def _poly_key(poly):
     return tuple((c.real, c.imag) for c in map(complex, poly))
 
 
+# distinct ordered atom pairs whose products are kept: one jets-exact pass at
+# the default config asks for 1,751 of them
+ATOM_PAIR_MEMO_SIZE = 2048
+
+
 def _convolve_atoms(a, b):
     """Exact convolution of two atoms (Gaussian moment integration).
+
+    The operands are put in a fixed order first, so a*b and b*a agree bit
+    for bit and commutators of exact elements cancel to the zero function.
+    The product of the ordered pair is memoised (``_convolve_ordered``).
+    """
+    ka, kb = (a.mean, a.variance), (b.mean, b.variance)
+    if kb < ka or (kb == ka and _poly_key(b.poly) < _poly_key(a.poly)):
+        a, b = b, a
+    return _convolve_ordered(a, b, *map(type, a.poly), *map(type, b.poly))
+
+
+@lru_cache(maxsize=ATOM_PAIR_MEMO_SIZE)
+def _convolve_ordered(a, b, *coeff_types):
+    """The product of an ordered atom pair, kept for the last
+    ``ATOM_PAIR_MEMO_SIZE`` distinct pairs.  The coefficient types are part
+    of the key, because a float and a complex tuple of the same values
+    compare and hash equal but give products of different dtypes.
 
     With w = t - mean_a - mean_b, s = variance_a + variance_b and v centred
     Gaussian of variance sig2 = variance_a * variance_b / s, the integrand of
@@ -355,13 +405,7 @@ def _convolve_atoms(a, b):
     A H B^T with the Hankel matrix H of Gaussian moments, and its
     antidiagonal sums are the coefficients in w, the centred variable of the
     product.
-
-    The operands are put in a fixed order first, so a*b and b*a agree bit
-    for bit and commutators of exact elements cancel to the zero function.
     """
-    ka, kb = (a.mean, a.variance), (b.mean, b.variance)
-    if kb < ka or (kb == ka and _poly_key(b.poly) < _poly_key(a.poly)):
-        a, b = b, a
     s = a.variance + b.variance
     sig2 = a.variance * b.variance / s
     A = _split(np.array(a.poly), a.variance / s, -1.0)
@@ -375,7 +419,7 @@ def _convolve_atoms(a, b):
 def _poly_add(p, q):
     if len(p) < len(q):
         p, q = q, p
-    return tuple(x + y for x, y in zip(p, q)) + tuple(p[len(q):])
+    return tuple(map(operator.add, p, q)) + p[len(q):]
 
 
 def _trimmed(atom):
@@ -387,6 +431,20 @@ def _trimmed(atom):
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return GaussAtom(tuple(coeffs), atom.mean, atom.variance) if coeffs else None
+
+
+def _gauss_terms(coeffs, mean, variance, t, u, p):
+    """p(u) exp(-u^2 / (2 variance)) with u = t - mean, written into p with
+    u as scratch: Horner, then u*u divided by -(2 variance), which is
+    -(u*u) / (2 variance) bit for bit, exponentiated and multiplied in.  One
+    atom on buffers of t's shape, or a stack of atoms along a first axis,
+    with mean, variance and each coefficient as columns."""
+    np.subtract(t, mean, out=u)
+    horner(coeffs, u, out=p)
+    np.multiply(u, u, out=u)
+    u /= -2.0 * variance
+    p *= np.exp(u, out=u)
+    return p
 
 
 class GaussPolyFn:
@@ -401,8 +459,9 @@ class GaussPolyFn:
             key = (atom.mean, atom.variance)
             prev = merged.get(key)
             merged[key] = atom if prev is None else GaussAtom(_poly_add(prev.poly, atom.poly), *key)
-        trimmed = (_trimmed(merged[key]) for key in sorted(merged))
-        self.atoms = tuple(atom for atom in trimmed if atom is not None)
+        self.atoms = tuple(
+            [atom for key in sorted(merged) if (atom := _trimmed(merged[key])) is not None]
+        )
 
     @classmethod
     def gaussian(cls, amplitude=1.0, mean=0.0, variance=1.0):
@@ -416,13 +475,44 @@ class GaussPolyFn:
         return not self.atoms
 
     def __call__(self, t):
-        """Values at t: a Horner pass per atom in its centred variable, summed in
-        atom order; real atoms give ``float64``."""
+        """Values at t (``_values``); real atoms give ``float64``, scalar t a scalar."""
+        if not self.atoms:
+            return np.zeros(np.shape(t))
+        return self._values(t, self._stack())[()]
+
+    def _stack(self):
+        """The atoms as columns: the coefficients by ascending power, each
+        polynomial zero-padded at the top degree, shape (degree + 1, atoms,
+        1); then the means and the variances, shape (atoms, 1).  Its dtype is
+        that of the values."""
+        size = max(len(a.poly) for a in self.atoms)
+        coeffs = np.array([a.poly + (0.0,) * (size - len(a.poly)) for a in self.atoms])
+        moments = np.array([(a.mean, a.variance) for a in self.atoms])
+        return coeffs.T[:, :, None], moments[:, :1], moments[:, 1:]
+
+    def _values(self, t, stack, stacked=False):
+        """The one evaluator, behind ``__call__``, ``sample`` and ``sup_norm``:
+        the sum from zero, in atom order, of every atom's
+        p(u) exp(-u^2 / (2 variance)) at t (``_gauss_terms``), ``stack``
+        being ``self._stack()``.
+
+        Atom by atom through buffers allocated once; with ``stacked``, all
+        atoms at once on (atoms, len(t)) buffers, for short 1-d t.  There a
+        polynomial's zero top coefficients seed Horner with zeros, so the
+        padding changes no value, and ``np.add.reduce`` along the first axis
+        adds the rows one after another in atom order.
+        """
         t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape)
+        coeffs, means, variances = stack
+        if stacked:
+            u = np.empty((means.shape[0], t.size))
+            terms = _gauss_terms(coeffs, means, variances, t, u, np.empty(u.shape, coeffs.dtype))
+            return np.add.reduce(terms, axis=0)
+        out = np.zeros(t.shape, coeffs.dtype)
+        u = np.empty(t.shape)
+        p = np.empty(t.shape, coeffs.dtype)
         for atom in self.atoms:
-            u = t - atom.mean
-            out = out + horner(atom.poly, u) * np.exp(-(u**2) / (2.0 * atom.variance))
+            out += _gauss_terms(atom.poly, atom.mean, atom.variance, t, u, p)
         return out
 
     # -- ring operations -----------------------------------------------------
@@ -493,18 +583,21 @@ class GaussPolyFn:
         return GridFn(t_start, t_step, self(t), **kw)
 
     def sup_norm(self):
+        """max |f|, searched on ``support_window()``: 4,001 evenly spaced
+        points, then three times 81 points spanning two steps of the last
+        grid on either side of its argmax, the best value seen kept."""
         if not self.atoms:
             return 0.0
+        stack = self._stack()
         t = np.linspace(*self.support_window(), 4001)
-        vals = np.abs(self(t))
-        best = float(np.max(vals))
-        # refine around the coarse argmax
+        vals = np.abs(self._values(t, stack))
         i = int(np.argmax(vals))
+        best = float(vals[i])
         lo = t[max(i - 2, 0)]
         hi = t[min(i + 2, t.size - 1)]
         for _ in range(3):
             local = np.linspace(lo, hi, 81)
-            lvals = np.abs(self(local))
+            lvals = np.abs(self._values(local, stack, stacked=True))
             j = int(np.argmax(lvals))
             best = max(best, float(lvals[j]))
             lo = local[max(j - 2, 0)]

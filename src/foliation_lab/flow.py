@@ -275,8 +275,11 @@ class FlowCoeff:
         return self.kind == "poly" and not any(self.poly)
 
     def apply(self, f):
-        """Pointwise-multiply a coefficient function by this entry."""
+        """Pointwise-multiply a coefficient function by this entry; the unit
+        polynomial returns f itself, which is exactly f * 1.0."""
         if self.kind == "poly":
+            if self.poly == (1.0,):
+                return f
             return f.mul_by_poly(self.poly)
         return f.mul_by_exp(self.rate)
 

@@ -4,6 +4,11 @@ Expected values come from closed-form Gaussian integrals, checked against a
 plain quadrature oracle that never touches the library code paths.
 """
 
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,6 +158,177 @@ def test_horner_matches_polyval_bitwise(rng, cplx, degree):
             got, want = horner(c, t), polyval(t, coeffs)
             assert np.shape(got) == np.shape(want)
             assert np.array_equal(got, want)
+            if np.ndim(t):
+                out = np.empty(np.shape(t), coeffs.dtype)
+                assert horner(c, t, out=out) is out
+                assert np.array_equal(out, want)
+
+
+def _horner_loop(coeffs, t):
+    out = coeffs[-1] + t * 0
+    for c in coeffs[-2::-1]:
+        out = c + out * t
+    return out
+
+
+def _values_loop(f, t):
+    """GaussPolyFn values by the allocating per-atom loop the evaluator replaced."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(t.shape)
+    for atom in f.atoms:
+        u = t - atom.mean
+        out = out + _horner_loop(atom.poly, u) * np.exp(-(u**2) / (2.0 * atom.variance))
+    return out
+
+
+def _sup_norm_loop(f):
+    """The 4,001-point search and three 81-point refinements, written out over
+    ``_values_loop``."""
+    if not f.atoms:
+        return 0.0
+    lo = min(a.mean - 12.0 * np.sqrt(a.variance) for a in f.atoms)
+    hi = max(a.mean + 12.0 * np.sqrt(a.variance) for a in f.atoms)
+    t = np.linspace(lo, hi, 4001)
+    vals = np.abs(_values_loop(f, t))
+    best = float(np.max(vals))
+    i = int(np.argmax(vals))
+    lo, hi = t[max(i - 2, 0)], t[min(i + 2, t.size - 1)]
+    for _ in range(3):
+        local = np.linspace(lo, hi, 81)
+        lvals = np.abs(_values_loop(f, local))
+        j = int(np.argmax(lvals))
+        best = max(best, float(lvals[j]))
+        lo, hi = local[max(j - 2, 0)], local[min(j + 2, 80)]
+    return best
+
+
+def _edge_peaked(side):
+    """One atom of variance 1 on [-12, 12] whose polynomial c u^8 (u + 12 side)
+    overflows only at the window end on that side, so the coarse argmax is
+    the first (side -1) or the last (side 1) of the 4,001 points."""
+    c = np.finfo(float).max / (2.0 * 12.0**9) * 1.002
+    return GaussPolyFn([GaussAtom((0.0,) * 8 + (12.0 * side * c, c), 0.0, 1.0)])
+
+
+def _evaluator_cases():
+    rng = np.random.default_rng(4242)
+    cases = {"zero": GaussPolyFn.zero()}
+    for degree in range(10):
+        cases[f"one-atom-degree-{degree}"] = GaussPolyFn([_random_atom(rng, degree, True)])
+    cases["35-atoms"] = random_gauss_poly(rng, n_atoms=35, max_degree=9)
+    cases["complex-atoms"] = random_gauss_poly(rng, n_atoms=6, max_degree=5, real=False)
+    cases["mixed-real-complex"] = GaussPolyFn(
+        [_random_atom(rng, 4, True), _random_atom(rng, 3, False), _random_atom(rng, 2, True)]
+    )
+    cases["negative-zero-coefficients"] = GaussPolyFn(
+        [GaussAtom((-0.0, 1.5, -0.0, 0.25), 0.3, 0.8), GaussAtom((complex(-0.0, 1.0), -0.0), -0.4, 1.2)]
+    )
+    cases["argmax-at-window-start"] = _edge_peaked(-1)
+    cases["argmax-at-window-end"] = _edge_peaked(1)
+    return cases
+
+
+EVALUATOR_CASES = _evaluator_cases()
+
+
+def _hex(values):
+    return [complex(v).real.hex() + complex(v).imag.hex() for v in np.ravel(values)]
+
+
+@pytest.mark.parametrize("name", list(EVALUATOR_CASES))
+def test_evaluator_matches_atom_loop_bitwise(name):
+    f = EVALUATOR_CASES[name]
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi = f.support_window()
+        ts = np.linspace(lo - 1.0, hi + 1.0, 1237)
+        for t in (ts, ts[:81], ts.reshape(1, -1), float(ts[600]), ts[5]):
+            got, want = f(t), _values_loop(f, t)
+            assert np.shape(got) == np.shape(want)
+            assert _hex(got) == _hex(want)
+        assert f.sample(lo, (hi - lo) / 400, 401, support_tol=np.inf).samples.tolist() == (
+            _values_loop(f, lo + (hi - lo) / 400 * np.arange(401)).tolist()
+        )
+        assert f.sup_norm().hex() == _sup_norm_loop(f).hex()
+        real = all(isinstance(c, float) for a in f.atoms for c in a.poly)
+        assert f(ts).dtype == (np.float64 if real else np.complex128)
+
+
+def test_edge_cases_put_the_coarse_argmax_at_the_window_ends():
+    for side, index in ((-1, 0), (1, 4000)):
+        f = _edge_peaked(side)
+        with np.errstate(over="ignore"):
+            vals = np.abs(_values_loop(f, np.linspace(*f.support_window(), 4001)))
+        assert int(np.argmax(vals)) == index
+        assert np.isfinite(vals).sum() == 4000
+
+
+def test_sup_norm_matches_critical_point_oracle():
+    # for p(u) exp(-u^2 / 2v) the supremum of |f| sits at a real root of
+    # v p'(u) - u p(u); every root's real part is a point of the line, so the
+    # largest |f| over them and u = 0 is the supremum, found here at 30 digits
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(7)
+    worst = 0.0
+    with mpmath.mp.workdps(30):
+        for _ in range(60):
+            degree = int(rng.integers(0, 7))
+            coeffs = rng.uniform(-1.0, 1.0, degree + 1).tolist()
+            mean, variance = float(rng.uniform(-2, 2)), float(rng.uniform(0.5, 4))
+            f = GaussPolyFn([GaussAtom(tuple(coeffs), mean, variance)])
+            c = [mpmath.mpf(x) for x in coeffs]
+            v = mpmath.mpf(variance)
+            # v p'(u) - u p(u), ascending in u, of degree deg p + 1
+            padded = c + [0, 0]
+            q = [v * (k + 1) * padded[k + 1] - (padded[k - 1] if k else 0) for k in range(degree + 2)]
+            roots = mpmath.polyroots(q[::-1], maxsteps=200, extraprec=60)
+            candidates = [mpmath.mpf(0)] + [mpmath.re(r) for r in roots]
+            want = max(
+                abs(mpmath.polyval(c[::-1], u) * mpmath.exp(-(u**2) / (2 * v))) for u in candidates
+            )
+            worst = max(worst, abs(f.sup_norm() - float(want)) / float(want))
+    assert worst <= 1e-11
+
+
+def test_atom_products_are_memoised_per_dtype():
+    from foliation_lab.coeff_ring import ATOM_PAIR_MEMO_SIZE, _convolve_atoms, _convolve_ordered
+
+    assert _convolve_ordered.cache_info().maxsize == ATOM_PAIR_MEMO_SIZE
+    real = GaussAtom((1.0, 0.5, -0.25), 0.3, 1.0)
+    cplx = GaussAtom((1 + 0j, 0.5 + 0j, -0.25 + 0j), 0.3, 1.0)
+    other = GaussAtom((0.2, -0.7), -0.1, 0.7)
+    assert real == cplx and hash(real) == hash(cplx)  # why the key needs the types
+    for first, second in ((real, cplx), (cplx, real)):
+        _convolve_ordered.cache_clear()
+        products = {id(a): _convolve_atoms(a, other) for a in (first, second)}
+        assert all(type(c) is float for c in products[id(real)].poly)
+        assert all(type(c) is complex for c in products[id(cplx)].poly)
+    # the same pair, in either order, gives the same atom, equal to a fresh product
+    _convolve_ordered.cache_clear()
+    h = _convolve_atoms(real, other)
+    assert _convolve_atoms(other, real) is h and _convolve_atoms(real, other) is h
+    _convolve_ordered.cache_clear()
+    fresh = _convolve_atoms(real, other)
+    assert fresh is not h and [c.hex() for c in fresh.poly] == [c.hex() for c in h.poly]
+    assert (fresh.mean, fresh.variance) == (h.mean, h.variance)
+    # and at the element level the dtypes stay apart
+    g = GaussPolyFn([other])
+    assert GaussPolyFn([real]).convolve(g)(0.1).dtype == np.float64
+    assert GaussPolyFn([cplx]).convolve(g)(0.1).dtype == np.complex128
+
+
+def test_traced_jets_exact_run_requests_the_parent_atom_pairs():
+    # the benchmark's tracer counts atom pairs requested, memoised or not: one
+    # jets-exact pass at seed 12345 asks for 3,273, as before the memo
+    root = Path(__file__).resolve().parents[1]
+    run = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "jets-exact", "--seconds", "0", "--trace", "1"],
+        cwd=root, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert "TraceError" not in run.stdout + run.stderr
+    result = json.loads(run.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["metrics"]["coeff_ring.GaussPolyFn.convolve.atom_pairs"]["value"] == 3273
 
 
 def test_atoms_are_stored_centred():
