@@ -106,6 +106,12 @@ def _fft_plan(n, real):
     return size, np.fft.fft, np.fft.ifft
 
 
+def _nonzero_span(mask):
+    """(first, last + 1) of the true entries of a 1-d mask; (0, 0) if none."""
+    nz = np.flatnonzero(mask)
+    return (int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0)
+
+
 def _fft_convolve(a, b):
     """Full linear convolution of two 1-d arrays, length ``len(a) + len(b) - 1``."""
     n = a.size + b.size - 1

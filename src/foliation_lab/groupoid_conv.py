@@ -35,7 +35,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coeff_ring import DEFAULT_SUPPORT_TOL, GridFn, _spline_coeffs, _spline_horner, _spline_locate
+from .coeff_ring import (
+    DEFAULT_SUPPORT_TOL, GridFn, _nonzero_span, _spline_coeffs, _spline_horner, _spline_locate
+)
 from .flow import FlowDomainError, FlowModel, cocycle_delta_many, flow_eval_many
 from .jet_algebra import Jet
 
@@ -156,12 +158,6 @@ class GroupoidKernel:
             raise ValueError("x-grid mismatch")
         if abs(self.t_grid.step - other.t_grid.step) > 1e-12 * self.t_grid.step:
             raise ValueError("t-step mismatch")
-
-
-def _nonzero_span(mask):
-    """(first, last + 1) of the true entries of a 1-d mask; (0, 0) if none."""
-    nz = np.flatnonzero(mask)
-    return (int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0)
 
 
 def convolve(f, g):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeff_ring import GridFn, _bump, _fft_plan
+from .coeff_ring import GridFn, _bump, _fft_plan, _nonzero_span
 
 
 class NonFredholmError(ValueError):
@@ -385,8 +385,8 @@ def bi_index_report(model):
 
 class Diffeomorphism:
     """An orientation-preserving diffeomorphism of the line with u' >= floor,
-    inverted numerically (a monotone table on [-60, 60] as the seed, then
-    Newton polish)."""
+    inverted numerically (a monotone table on [-60, 60], continued along u's
+    tangent lines at its ends, as the seed, then Newton polish)."""
 
     def __init__(self, u, du, label=""):
         self.u = u
@@ -413,12 +413,20 @@ class Diffeomorphism:
         )
 
     def inverse(self, y):
+        """u^{-1}(y); raises ValueError where the polished point still misses
+        y by more than 1e-9 (1 + |y|)."""
         y = np.asarray(y, dtype=float)
-        if np.any(y < self._us[0]) or np.any(y > self._us[-1]):
-            raise ValueError("inverse requested outside the tabulated range")
-        x = np.interp(y, self._us, self._xs)
+        xs, us = self._xs, self._us
+        # np.interp clamps to the table's ends; beyond them the seed follows
+        # the tangent line there (a zero step inside the table)
+        x = np.interp(y, us, xs)
+        x += np.minimum(y - us[0], 0.0) / self.du(xs[0])
+        x += np.maximum(y - us[-1], 0.0) / self.du(xs[-1])
         for _ in range(4):
             x = x - (np.asarray(self.u(x), dtype=float) - y) / np.asarray(self.du(x), dtype=float)
+        miss = np.abs(np.asarray(self.u(x), dtype=float) - y)
+        if not np.all(miss <= 1e-9 * (1.0 + np.abs(y))):
+            raise ValueError("the Newton polish of u^{-1} did not converge")
         return x
 
 
@@ -450,6 +458,13 @@ def nonpreservation_demo(u, f1, f2, n_max=20):
     and the L^2 and sup norms of the pulled-back second term, so a steep
     warp (u' -> infinity) shows the first term pinned at a while the second
     fades: the difference cannot be a compact perturbation of anything.
+
+    Every convolution and interpolation runs on nonzero windows only: the
+    sampled kernels are cut to their nonzero samples once, each vector's
+    nonzero window is convolved with that cut kernel (its transform kept per
+    padded length), and ``np.interp`` is evaluated only at the warped points
+    the interpolated vector's nonzero window can reach.  The values left out
+    are exact zeros; the norms are taken on the whole grid.
     """
     if not isinstance(u, Diffeomorphism):
         raise ValueError("u must be a Diffeomorphism descriptor")
@@ -462,16 +477,35 @@ def nonpreservation_demo(u, f1, f2, n_max=20):
 
     def convolver(spec):
         """vec -> the len(vec) middle of its full convolution with the kernel
-        of spec (scipy's mode="same"); the kernel is transformed once."""
+        of spec (scipy's mode="same"), from the nonzero windows of both."""
         if spec is None:
             return np.zeros_like
-        # the kernel on a symmetric window around 0
+        # the kernel on a symmetric window around 0; the middle starts at
+        # full index `start`, and kernel sample k0 is the cut kernel's first
         kernel = spec.transform_values(np.arange(-len(x) // 2, len(x) // 2 + 1) * dx)
         start = (len(kernel) - 1) // 2
-        # every vector convolved here is real
-        size, forward, inverse = _fft_plan(len(x) + len(kernel) - 1, np.isrealobj(kernel))
-        kernel_hat = forward(kernel, size)
-        return lambda vec: inverse(forward(vec, size) * kernel_hat)[start : start + len(vec)] * dx
+        k0, k1 = _nonzero_span(kernel)
+        kernel = kernel[k0:k1]
+        kernel_hats = {}
+
+        def conv(vec):
+            out = np.zeros(len(vec), dtype=kernel.dtype)  # every vector here is real
+            v0, v1 = _nonzero_span(vec != 0)
+            if v0 == v1 or k0 == k1:
+                return out
+            n = v1 - v0 + kernel.size - 1
+            size, forward, inverse = _fft_plan(n, np.isrealobj(kernel))
+            if size not in kernel_hats:
+                kernel_hats[size] = forward(kernel, size)
+            window = inverse(forward(vec[v0:v1], size) * kernel_hats[size])[:n]
+            # window[j] is entry v0 + k0 + j of the full convolution
+            lo = v0 + k0 - start
+            a, b = max(lo, 0), min(lo + n, len(vec))
+            if a < b:
+                out[a:b] = window[a - lo : b - lo] * dx
+            return out
+
+        return conv
 
     conv1 = convolver(f1)
     conv2 = convolver(f2)
@@ -484,6 +518,18 @@ def nonpreservation_demo(u, f1, f2, n_max=20):
     xinv = u.inverse(x)
     sqrt_du_inv = np.sqrt(np.asarray(u.du(xinv), dtype=float))
 
+    def interp(points, vec):
+        """np.interp(points, x, vec, left=0.0, right=0.0) at increasing
+        points, evaluated only at those in [x[v0 - 1], x[v1]] for vec's
+        nonzero window v0:v1; np.interp gives exact zeros outside it."""
+        out = np.zeros(len(points))
+        v0, v1 = _nonzero_span(vec != 0)
+        if v0 < v1:
+            a = np.searchsorted(points, x[max(v0 - 1, 0)])
+            b = np.searchsorted(points, x[min(v1, len(x) - 1)], side="right")
+            out[a:b] = np.interp(points[a:b], x, vec, left=0.0, right=0.0)
+        return out
+
     records = []
     for n in range(n_max + 1):
         shift = int(round(3.0 * n / dx))
@@ -492,10 +538,10 @@ def nonpreservation_demo(u, f1, f2, n_max=20):
 
         t1 = conv1(xi_n * proj)
 
-        # U xi_n, T2, then back through U^{-1}
-        u_xi = sqrt_du_x * np.interp(ux, x, xi_n, left=0.0, right=0.0)
+        # U xi_n, T2, then back through U^{-1}; u and u^{-1} are increasing
+        u_xi = sqrt_du_x * interp(ux, xi_n)
         t2u = conv2(u_xi * proj)
-        pullback = np.interp(xinv, x, t2u, left=0.0, right=0.0) / sqrt_du_inv
+        pullback = interp(xinv, t2u) / sqrt_du_inv
 
         diff = t1 - pullback
         records.append(

@@ -4,7 +4,7 @@ and the warp non-preservation demonstration."""
 import numpy as np
 import pytest
 
-from foliation_lab.coeff_ring import GridFn
+from foliation_lab.coeff_ring import GridFn, _bump
 from foliation_lab.flow import COMPLETE_RESCALED, MONOMIAL, FlowModel
 from foliation_lab.wiener_hopf import (
     Diffeomorphism,
@@ -332,11 +332,93 @@ def test_demo_identity_scenarios():
     assert max(norms) - min(norms) <= 1e-12
 
 
+def test_demo_identity_warp_at_default_n_max():
+    # the grid runs to 3 n_max + 20 = 80, past the warp table's [-60, 60]
+    ident = Diffeomorphism.identity()
+    same = nonpreservation_demo(ident, GaussianSpec(), GaussianSpec(), n_max=20)
+    assert all(r["norm"] == 0.0 for r in same)
+    diff = nonpreservation_demo(ident, GaussianSpec(), GaussianSpec(amplitude=0.5), n_max=20)
+    norms = [r["norm"] for r in diff]
+    assert min(norms) > 0.1
+    assert max(norms) - min(norms) <= 1e-12
+
+
+def _demo_oracle(u, f1, f2, n_max):
+    """The demo the direct way: full-length FFT convolutions (scipy's
+    mode="same") and np.interp at every grid point."""
+    from scipy.signal import fftconvolve  # the oracle; the package does not load scipy.signal
+
+    x = np.arange(-20.0, 3.0 * n_max + 20.0, 0.005)
+    dx = x[1] - x[0]
+    proj = x >= 0.0
+    xi0 = _bump(x - 1.0, 1.0)
+    xi0 = xi0 / np.sqrt(np.trapezoid(xi0**2, dx=dx))
+    lags = np.arange(-len(x) // 2, len(x) // 2 + 1) * dx
+
+    def conv(spec, vec):
+        if spec is None:
+            return np.zeros_like(vec)
+        return fftconvolve(vec, spec.transform_values(lags), mode="same") * dx
+
+    xinv = u.inverse(x)
+    records = []
+    for n in range(n_max + 1):
+        shift = int(round(3.0 * n / dx))
+        xi_n = np.zeros_like(xi0)
+        xi_n[shift:] = xi0[: xi0.size - shift]
+        t1 = conv(f1, xi_n * proj)
+        u_xi = np.sqrt(u.du(x)) * np.interp(u.u(x), x, xi_n, left=0.0, right=0.0)
+        t2u = conv(f2, u_xi * proj)
+        pullback = np.interp(xinv, x, t2u, left=0.0, right=0.0) / np.sqrt(u.du(xinv))
+        records.append(
+            {
+                "n": n,
+                "norm": np.sqrt(np.trapezoid((t1 - pullback) ** 2, dx=dx)),
+                "first_term_norm": np.sqrt(np.trapezoid(t1**2, dx=dx)),
+                "pullback_l2": np.sqrt(np.trapezoid(pullback**2, dx=dx)),
+                "pullback_sup": np.max(np.abs(pullback)),
+            }
+        )
+    return records
+
+
+@pytest.mark.parametrize(
+    "warp, f1, f2, n_max",
+    [
+        # the four scenarios of demo-nonpreservation
+        ("exp_stretch", GaussianSpec(), GaussianSpec(), 20),
+        ("exp_stretch", GaussianSpec(), None, 8),
+        ("identity", GaussianSpec(), GaussianSpec(), 8),
+        ("identity", GaussianSpec(), GaussianSpec(amplitude=0.5), 8),
+        # a transform that never underflows on the grid: no sample is cut
+        ("exp_stretch", GaussianSpec(sigma=0.05), GaussianSpec(sigma=0.05), 4),
+    ],
+)
+def test_demo_matches_full_length_oracle(warp, f1, f2, n_max):
+    u = getattr(Diffeomorphism, warp)()
+    recs = nonpreservation_demo(u, f1, f2, n_max=n_max)
+    oracle = _demo_oracle(u, f1, f2, n_max)
+    assert [r["n"] for r in recs] == [r["n"] for r in oracle]
+    for rec, ref in zip(recs, oracle):
+        for field in ("norm", "first_term_norm", "pullback_l2", "pullback_sup"):
+            assert abs(rec[field] - ref[field]) <= max(1e-13 * abs(ref[field]), 1e-15), (rec, ref)
+
+
 def test_diffeomorphism_inverse_accuracy():
     u = Diffeomorphism.exp_stretch()
     xs = np.linspace(-5.0, 4.0, 101)
     ys = u.u(xs)
     np.testing.assert_allclose(u.inverse(ys), xs, atol=1e-10)
+
+
+def test_diffeomorphism_inverse_beyond_table():
+    # beyond the table the seed follows the end tangent, exact for the identity
+    u = Diffeomorphism.exp_stretch()
+    far = np.array([-100.0, 75.0, 1e6])
+    np.testing.assert_array_equal(Diffeomorphism.identity().inverse(far), far)
+    assert u.inverse(u.u(-70.0)) == pytest.approx(-70.0, rel=1e-12)
+    with pytest.raises(ValueError, match="did not converge"):
+        u.inverse(1e30)  # four Newton steps from about 8,800 cannot reach 69.1
 
 
 def test_demo_rejects_bad_warp():
