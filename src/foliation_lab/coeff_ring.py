@@ -1,18 +1,18 @@
 """Coefficient ring: smooth functions of one time variable under convolution.
 
-Two interchangeable representations are provided:
+``GaussPolyFn`` is the ring: an exact finite sum of atoms
+``p(u) * exp(-u^2 / (2*variance))`` with ``u = t - mean`` and polynomial
+``p``.  The family is closed, in closed form, under convolution,
+multiplication by polynomials in ``t`` and multiplication by exponentials
+``exp(c*t)``, which is everything the twisted jet products require; every
+jet coefficient is one.
 
-``GridFn``
-    a function sampled on a uniform grid, zero outside the sampled window;
-    convolution is discrete quadrature through a zero-padded ``numpy.fft``
-    product (``_fft_convolve``).  Real samples stay ``float64``.
-
-``GaussPolyFn``
-    an exact finite sum of atoms ``p(u) * exp(-u^2 / (2*variance))`` with
-    ``u = t - mean`` and polynomial ``p``.  The family is closed, in closed
-    form, under convolution, multiplication by polynomials in ``t`` and
-    multiplication by exponentials ``exp(c*t)``, which is everything the
-    twisted jet products require.
+``GridFn`` is a function sampled on a uniform grid, zero outside the
+sampled window.  Its one operation is convolution, discrete quadrature
+through a zero-padded ``numpy.fft`` product (``_fft_convolve``); real samples
+stay ``float64``.  ``sampled_ring_matches_exact_ring`` convolves it, the
+index suite transforms it, and the non-preservation demo shares
+``_fft_convolve``.
 
 The exact kernel works on plain coefficient arrays, each atom's in powers
 of its own ``u``.  Two atoms convolve by the Gaussian moment integral as
@@ -243,16 +243,18 @@ class GridFn:
         return self.samples.size
 
     @property
-    def t_grid(self):
-        return self.t_start + self.t_step * np.arange(self.count)
-
-    @property
     def t_end(self):
         return self.t_start + self.t_step * (self.count - 1)
 
-    # -- ring operations -----------------------------------------------------
+    # -- convolution ---------------------------------------------------------
 
-    def _check_compatible(self, other):
+    def convolve(self, other):
+        """(f*g)(t) = integral f(t-s) g(s) ds by discrete quadrature, on grids
+        of one step whose offsets differ by a whole number of steps.
+
+        Endpoint samples vanish by the support invariant, so the plain
+        Riemann sum coincides with the trapezoid rule.
+        """
         if not isinstance(other, GridFn):
             raise RepresentationMismatchError(
                 "cannot combine GridFn with " + type(other).__name__
@@ -261,47 +263,11 @@ class GridFn:
             raise GridMismatchError(
                 f"t_step mismatch: {self.t_step} vs {other.t_step}"
             )
-        # offsets must differ by a whole number of steps so grids align
         off = (other.t_start - self.t_start) / self.t_step
         if abs(off - round(off)) > 1e-9:
             raise GridMismatchError("grid offsets are not commensurable")
-
-    def convolve(self, other):
-        """(f*g)(t) = integral f(t-s) g(s) ds by discrete quadrature.
-
-        Endpoint samples vanish by the support invariant, so the plain
-        Riemann sum coincides with the trapezoid rule.
-        """
-        self._check_compatible(other)
         conv = _fft_convolve(self.samples, other.samples)
         return GridFn(self.t_start + other.t_start, self.t_step, conv * self.t_step)
-
-    def mul_by_exp(self, c):
-        return GridFn(self.t_start, self.t_step, self.samples * np.exp(c * self.t_grid))
-
-    def mul_by_poly(self, coeffs):
-        """Pointwise multiply by the polynomial with ascending coefficients."""
-        return GridFn(self.t_start, self.t_step, self.samples * horner(coeffs, self.t_grid))
-
-    def add(self, other):
-        self._check_compatible(other)
-        start = min(self.t_start, other.t_start)
-        end = max(self.t_end, other.t_end)
-        n = int(round((end - start) / self.t_step)) + 1
-        out = np.zeros(n, dtype=np.result_type(self.samples, other.samples))
-        i = int(round((self.t_start - start) / self.t_step))
-        j = int(round((other.t_start - start) / self.t_step))
-        out[i : i + self.count] += self.samples
-        out[j : j + other.count] += other.samples
-        return GridFn(start, self.t_step, out)
-
-    def scale(self, c):
-        return GridFn(self.t_start, self.t_step, self.samples * c)
-
-    # -- norms ---------------------------------------------------------------
-
-    def sup_norm(self):
-        return float(np.max(np.abs(self.samples)))
 
     def __repr__(self):
         return (
@@ -621,6 +587,18 @@ def _bump(u, radius):
     out = np.zeros_like(u)
     inside = np.abs(u) < radius
     out[inside] = np.exp(1.0 - 1.0 / (1.0 - (u[inside] / radius) ** 2))
+    return out
+
+
+def _bump_series(radius, order):
+    """Taylor coefficients of ``_bump(u, radius)`` at 0 up to u^order.  With
+    y = (u/radius)^2 the bump is exp(g(y)), g = -y/(1-y) = -(y + y^2 + ...),
+    so its y-series c has n c_n = sum_m m g_m c_(n-m) = -sum_m m c_(n-m)."""
+    c = [1.0]
+    for n in range(1, order // 2 + 1):
+        c.append(-sum(m * c[n - m] for m in range(1, n + 1)) / n)
+    out = [0.0] * (order + 1)
+    out[::2] = [cn / radius ** (2 * n) for n, cn in enumerate(c)]
     return out
 
 

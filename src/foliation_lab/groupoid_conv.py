@@ -7,7 +7,7 @@ module implements:
   convolution     (f*g)(x,t) = integral of f(phi_s(x), t-s) g(x,s) ds
   adjoint         f*(x,t)    = conj f(phi_t(x), -t)
   module actions  (a.g)(x,t) = a(phi_t(x)) g(x,t),  (g.a)(x,t) = a(x) g(x,t)
-  Taylor map      T(f) = jet of x-Taylor coefficients of f at x = 0
+  Taylor map      T(f)_n(t) = (1/n!) d^n f/dx^n (0, t), n <= p, as rows
   L^1 norm        sup over x of the larger t-integral of |f| and |f*|
 
 Quadrature is the trapezoid rule on the t-grid; values of f at the off-grid
@@ -36,10 +36,9 @@ from __future__ import annotations
 import numpy as np
 
 from .coeff_ring import (
-    DEFAULT_SUPPORT_TOL, GridFn, _nonzero_span, _spline_coeffs, _spline_horner, _spline_locate
+    DEFAULT_SUPPORT_TOL, _nonzero_span, _spline_coeffs, _spline_horner, _spline_locate
 )
 from .flow import FlowDomainError, FlowModel, cocycle_delta_many, flow_eval_many
-from .jet_algebra import Jet
 
 # kernels produced by interpolating operations carry cubic-interpolation
 # ringing off the support edge; their boundary check allows for it
@@ -271,7 +270,8 @@ def scale_by_delta(g):
 
 
 def taylor_map(f, p):
-    """Jet of order p of the kernel: coefficients (1/n!) d^n f/dx^n (0, t).
+    """The jet of order p of the kernel as its coefficient rows: an array of
+    shape (p + 1, n_t) whose row n is (1/n!) d^n f/dx^n (0, t) on f's t-grid.
 
     Derivatives at 0 come from a least-squares polynomial fit of degree p+2
     over a symmetric stencil of at least 2p+5 points around x = 0, which is
@@ -294,11 +294,7 @@ def taylor_map(f, p):
     xloc = xs[stencil]
     design = np.vander(xloc, degree + 1, increasing=True)
     coeffs, *_ = np.linalg.lstsq(design, f.samples[stencil, :], rcond=None)
-    jets = [
-        GridFn(f.t_grid.start, f.t_grid.step, coeffs[n, :], support_tol=np.inf)
-        for n in range(p + 1)
-    ]
-    return Jet(f.flow.k, jets)
+    return coeffs[: p + 1]
 
 
 def l1_groupoid_norm(f):

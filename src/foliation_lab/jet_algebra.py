@@ -3,9 +3,11 @@
 A ``Jet`` of truncation order p models the quotient of the groupoid
 convolution algebra by the ideal of kernels vanishing to order p+1 at x = 0,
 i.e. a series f_0 + f_1 x + ... + f_p x^p with coefficients in the
-convolution ring of the t variable.  (Statements about the quotient by x^p
-therefore read "jets of truncation order p-1"; ``ORDER_CONVENTION`` records
-the bridge and tests assert it.)
+convolution ring of the t variable, each an exact ``GaussPolyFn``.
+(Statements about the quotient by x^p therefore read "jets of truncation
+order p-1"; ``ORDER_CONVENTION`` records the bridge and tests assert it.)
+``groupoid_conv.taylor_map`` carries a sampled kernel onto the jet's
+coefficient rows; verify-groupoid compares them with exact jets.
 
 The product twists the coefficient ring by the Taylor data of the flow:
 
@@ -33,11 +35,6 @@ from .flow import taylor_table
 ORDER_CONVENTION = "quotient by x^(p+1) == jets of truncation order p"
 
 
-def _zero_like(c):
-    """The zero coefficient in c's representation (a GridFn keeps its grid)."""
-    return GaussPolyFn.zero() if isinstance(c, GaussPolyFn) else c.scale(0.0)
-
-
 class Jet:
     """A truncated series with p+1 coefficient functions and flow order k."""
 
@@ -47,9 +44,6 @@ class Jet:
         coeffs = list(coeffs)
         if not coeffs:
             raise ValueError("a jet needs at least the order-0 coefficient")
-        kinds = {type(c) for c in coeffs}
-        if len(kinds) > 1:
-            raise ValueError("all coefficients must share one representation")
         self.k = int(k)
         self.p = len(coeffs) - 1
         self.coeffs = coeffs
@@ -57,7 +51,7 @@ class Jet:
     @classmethod
     def from_coefficient(cls, k, f, p):
         """The degree-0 jet (f, 0, ..., 0) of truncation order p."""
-        return cls(k, [f] + [_zero_like(f)] * p)
+        return cls(k, [f] + [GaussPolyFn.zero()] * p)
 
     def truncate(self, q):
         if q > self.p:
@@ -84,12 +78,11 @@ class Jet:
             raise ValueError(f"truncation order mismatch: p={self.p} vs p={other.p}")
 
     def __repr__(self):
-        rep = type(self.coeffs[0]).__name__
-        return f"Jet(k={self.k}, p={self.p}, coeffs={rep}x{self.p + 1})"
+        return f"Jet(k={self.k}, p={self.p})"
 
 
 def jet_mul(f, g):
-    """Twisted product; exact when the coefficients are GaussPolyFn."""
+    """Twisted product, exact in the coefficient ring."""
     f._check_match(g)
     table = taylor_table(f.k, max(f.p, 1))
     out = []
@@ -110,7 +103,7 @@ def x_mult_right(f):
     """(f x): shift coefficients up one degree and truncate."""
     if f.p < 1:
         raise ValueError("x-multiplication needs truncation order p >= 1")
-    return Jet(f.k, [_zero_like(f.coeffs[0])] + f.coeffs[: f.p])
+    return Jet(f.k, [GaussPolyFn.zero()] + f.coeffs[: f.p])
 
 
 def x_mult_left(f):
@@ -119,7 +112,7 @@ def x_mult_left(f):
         raise ValueError("x-multiplication needs truncation order p >= 1")
     table = taylor_table(f.k, f.p)
     out = [None] * (f.p + 1)
-    pad = _zero_like(f.coeffs[0])
+    pad = GaussPolyFn.zero()
     out[0] = pad
     for q in range(1, f.p + 1):
         acc = None

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeff_ring import GridFn, _bump, _fft_plan, _nonzero_span
+from .coeff_ring import GridFn, _bump, _fft_convolve, _nonzero_span
 
 
 class NonFredholmError(ValueError):
@@ -461,10 +461,10 @@ def nonpreservation_demo(u, f1, f2, n_max=20):
 
     Every convolution and interpolation runs on nonzero windows only: the
     sampled kernels are cut to their nonzero samples once, each vector's
-    nonzero window is convolved with that cut kernel (its transform kept per
-    padded length), and ``np.interp`` is evaluated only at the warped points
-    the interpolated vector's nonzero window can reach.  The values left out
-    are exact zeros; the norms are taken on the whole grid.
+    nonzero window is convolved with that cut kernel by
+    ``coeff_ring._fft_convolve``, and ``np.interp`` is evaluated only at the
+    warped points the interpolated vector's nonzero window can reach.  The
+    values left out are exact zeros; the norms are taken on the whole grid.
     """
     if not isinstance(u, Diffeomorphism):
         raise ValueError("u must be a Diffeomorphism descriptor")
@@ -486,21 +486,16 @@ def nonpreservation_demo(u, f1, f2, n_max=20):
         start = (len(kernel) - 1) // 2
         k0, k1 = _nonzero_span(kernel)
         kernel = kernel[k0:k1]
-        kernel_hats = {}
 
         def conv(vec):
             out = np.zeros(len(vec), dtype=kernel.dtype)  # every vector here is real
             v0, v1 = _nonzero_span(vec != 0)
             if v0 == v1 or k0 == k1:
                 return out
-            n = v1 - v0 + kernel.size - 1
-            size, forward, inverse = _fft_plan(n, np.isrealobj(kernel))
-            if size not in kernel_hats:
-                kernel_hats[size] = forward(kernel, size)
-            window = inverse(forward(vec[v0:v1], size) * kernel_hats[size])[:n]
+            window = _fft_convolve(vec[v0:v1], kernel)
             # window[j] is entry v0 + k0 + j of the full convolution
             lo = v0 + k0 - start
-            a, b = max(lo, 0), min(lo + n, len(vec))
+            a, b = max(lo, 0), min(lo + window.size, len(vec))
             if a < b:
                 out[a:b] = window[a - lo : b - lo] * dx
             return out

@@ -6,9 +6,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from foliation_lab import cli
 from foliation_lab.cli import DEFAULT_CONFIG, SUITES, load_config, main, run_suite
+from foliation_lab.flow import FlowModel
 
 FAST_CFG = {
     "k_values": [2],
@@ -297,3 +300,52 @@ def test_cli_import_loads_no_scipy():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _taylor_check(cfg):
+    (check,) = [c for c in SUITES["verify-groupoid"](cfg) if c.__name__ == "taylor_homomorphism"]
+    return check
+
+
+def test_taylor_check_fails_without_the_bump_x2_term(monkeypatch):
+    # the kernels sample the bump itself, the exact jets use its series; an
+    # exact side that lost the x^2 term must disagree, which it would not if
+    # both sides came from the sampled kernels
+    series = cli._bump_series
+
+    def without_x2(radius, order):
+        b = series(radius, order)
+        b[2] = 0.0
+        return b
+
+    monkeypatch.setattr(cli, "_bump_series", without_x2)
+    record = _taylor_check(load_config(None, []))()
+    assert record["measured"] > 1e-4 and record["status"] == "fail"
+
+
+@pytest.mark.parametrize(
+    "override", ["grid.t_radius=0.3", "grid.t_radius=1", "grid.t_radius=3", "grid.t_step=0.05"]
+)
+def test_taylor_family_fits_the_t_window(override):
+    # the atoms keep their width as the window grows and shrink with it
+    # below t_radius 0.5, and the narrowest widen at a coarse t-step, so the
+    # kernels and their exact jets vanish at the window edge and the check
+    # passes
+    cfg = load_config(None, [override, "k_values=[2]"])
+    xg, tg = cli._grids(cfg, 2)
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        f, jet = cli._jet_kernel(FlowModel(2), xg, tg, 3, rng)
+        ends = tg.points[[0, -1]]
+        edge = max(np.max(np.abs(c(ends))) for c in jet.coeffs)
+        assert max(edge, np.max(np.abs(f.samples[:, [0, -1]]))) <= 1e-11 * f.sup_norm()
+    assert _taylor_check(cfg)()["status"] == "pass"
+
+
+def test_taylor_check_on_a_coarse_t_step():
+    # the trapezoid rule's aliasing on the narrowest atom products (s-variance
+    # v) is about 2 exp(-2 pi^2 v / t_step^2): 7.4e-4 at t_step 0.05 for the
+    # default family's v = 0.001, so there the narrowest atoms widen to
+    # v = 0.001 (0.05 / 0.04)^2, where it is 8.8e-6 again
+    for step in (0.04, 0.05):
+        assert _taylor_check(load_config(None, [f"grid.t_step={step}"]))()["status"] == "pass"

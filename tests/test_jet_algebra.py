@@ -9,7 +9,7 @@ single coefficient b*(t c) at degree k (k >= 2).
 import numpy as np
 import pytest
 
-from foliation_lab.coeff_ring import GaussPolyFn, GridFn, random_gauss_poly
+from foliation_lab.coeff_ring import GaussPolyFn, random_gauss_poly
 from foliation_lab.jet_algebra import (
     ORDER_CONVENTION,
     Jet,
@@ -232,25 +232,3 @@ def test_order_convention_bridge():
     f2, g2 = Jet(2, [z, b, z]), Jet(2, [c, z, z])
     assert commutator(f2, g2).sup_norm() >= 1e-3
 
-
-# ---------------------------------------------------------------------------
-# mixed representations and serialization
-# ---------------------------------------------------------------------------
-
-
-def test_jet_with_grid_coefficients():
-    def bump(t):
-        out = np.zeros_like(t)
-        inside = np.abs(t) < 0.4
-        out[inside] = np.exp(1 - 1 / (1 - (t[inside] / 0.4) ** 2))
-        return out
-
-    b = GridFn.from_function(bump, -0.5, 0.01, 101)
-    z = b.scale(0.0)
-    f = Jet(2, [z, b, z])
-    g = Jet(2, [b, z, z])
-    h = jet_mul(f, g)
-    want = b.convolve(b.mul_by_poly((0.0, 1.0)))
-    assert h.coeffs[2].add(want.scale(-1.0)).sup_norm() <= 1e-12
-    with pytest.raises(ValueError):
-        Jet(2, [b, GaussPolyFn.gaussian()])
