@@ -47,11 +47,12 @@ DEFAULT_CONFIG = {
 
 
 def load_config(path=None, overrides=()):
+    """DEFAULT_CONFIG updated by the JSON file at path, then by each dotted
+    key=value override; ValueError names an unknown key or a bad value."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         with open(path) as fh:
-            user = json.load(fh)
-        _deep_update(cfg, user)
+            _merge(cfg, json.load(fh), "")
     for item in overrides:
         key, _, value = item.partition("=")
         if not _ or not key:
@@ -60,32 +61,33 @@ def load_config(path=None, overrides=()):
             value = json.loads(value)
         except json.JSONDecodeError:
             pass
-        node = cfg
-        parts = key.split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-        node[parts[-1]] = value
+        for part in reversed(key.split(".")):
+            value = {part: value}
+        _merge(cfg, value, "")
     _validate_config(cfg)
     return cfg
 
 
-def _deep_update(base, extra):
+def _merge(base, extra, prefix):
+    """Merge the object extra into base in place: every key must be one of
+    base's, at any depth, and an object must stay an object."""
+    if not isinstance(extra, dict):
+        raise ValueError(f"{prefix[:-1] or 'config'} must be an object")
     for key, value in extra.items():
-        if isinstance(value, dict) and isinstance(base.get(key), dict):
-            _deep_update(base[key], value)
+        if key not in base:
+            raise ValueError(f"unknown config key {prefix + key!r}")
+        if isinstance(base[key], dict):
+            _merge(base[key], value, f"{prefix}{key}.")
         else:
             base[key] = value
 
 
 def _validate_config(cfg):
     grid = cfg["grid"]
-    if not isinstance(grid, dict):
-        raise ValueError("grid must be an object")
     for key in ("x_step", "t_step", "x_radius", "t_radius"):
-        if not _is_positive_real(grid.get(key)):
+        if not _is_positive_real(grid[key]):
             raise ValueError(f"grid.{key} must be a finite positive number")
-    tolerances = cfg["tolerances"]
-    if not isinstance(tolerances, dict) or not all(map(_is_positive_real, tolerances.values())):
+    if not all(map(_is_positive_real, cfg["tolerances"].values())):
         raise ValueError("tolerances must map names to finite positive numbers")
     if not _is_int(cfg["trials"], 1):
         raise ValueError("trials must be a positive integer")
@@ -365,13 +367,13 @@ def suite_verify_flow(cfg):
         for k in k_values:
             table = flow.taylor_table(k, 8)
             for n in range(9):
-                diag = table.coeff(n, n)
+                diag = table[n, n]
                 if diag.kind == "poly":
                     yield abs(np.asarray(diag.poly)[0] - 1.0)
                 for m in range(n + 1, min(n + max(k - 1, 1), 9)):
-                    yield float(np.max(np.abs(table.coeff(n, m).poly)))
+                    yield float(np.max(np.abs(table[n, m].poly)))
             for m in range(1, 9):
-                yield float(np.max(np.abs(table.coeff(0, m).poly)))
+                yield float(np.max(np.abs(table[0, m].poly)))
 
     @_check("flow_power_cocycle_identity", "cocycle identity for flow Taylor coefficients", 1e-10)
     def cocycle_identity():
@@ -496,7 +498,7 @@ def suite_verify_groupoid(cfg):
             xg, tg = _grids(cfg, k)
             a = lambda x: _bump(x, 0.3) * (1 + 0.5 * x)
             b = lambda t: _bump(t, 0.8 * tg.end)
-            f = GroupoidKernel.separable(FlowModel(k), xg, tg, a, b)
+            f = GroupoidKernel.from_function(FlowModel(k), xg, tg, lambda X, T: a(X) * b(T))
             got = groupoid_conv.l1_groupoid_norm(f)
             a_sup = float(np.max(np.abs(a(xg.points))))
             b_l1 = float(np.trapezoid(np.abs(b(tg.points)), dx=tg.step))

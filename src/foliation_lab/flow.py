@@ -15,8 +15,8 @@ Two variants are supported:
     k, inverted by Newton's method in log|x|.  The spatial derivative is
     v(phi_t(x)) / v(x).
 
-The module also provides the Taylor coefficients phi_m^n of the m-th power of
-the flow (coefficient of x^m in (phi_t(x))^n), the multiplicative cocycles
+The module also provides the Taylor coefficients phi_m^n (coefficient of x^m
+in (phi_t(x))^n) in one cached table per order, the multiplicative cocycles
 ``cocycle_delta`` (phi_t(x)/x, smoothly extended through x = 0) and
 ``beta_cocycle`` ((phi_t'(x))^(1/2) for x != 0, and 1 on the isotropy line
 x = 0 -- note the x = 0 value makes beta discontinuous when k = 1, where
@@ -212,7 +212,7 @@ def flow_derivative(model, t, x):
 
 
 def flow_eval_many(model, ts, xs):
-    """phi_t(x) on the grid ts x xs; inadmissible entries become NaN."""
+    """phi_t(x) on the grid ts x xs; NaN exactly where ``in_domain`` fails."""
     ts = np.asarray(ts, dtype=float)
     xs = np.asarray(xs, dtype=float)
     if model.variant == MONOMIAL:
@@ -284,33 +284,6 @@ class FlowCoeff:
         return f.mul_by_exp(self.rate)
 
 
-@dataclass(frozen=True)
-class FlowTaylorTable:
-    """All phi_m^n with 0 <= n <= m <= m_max for the monomial flow of order k."""
-
-    k: int
-    m_max: int = DEFAULT_M_MAX
-
-    def __post_init__(self):
-        entries = {}
-        for n in range(self.m_max + 1):
-            for m in range(n, self.m_max + 1):
-                if self.k == 1:
-                    if m == n:
-                        entries[(n, m)] = FlowCoeff("exp", rate=float(n))
-                    else:
-                        entries[(n, m)] = FlowCoeff("poly", poly=(0.0,))
-                else:
-                    coeffs = taylor_flow_power(self.k, n, m)
-                    entries[(n, m)] = FlowCoeff("poly", poly=tuple(coeffs.tolist()))
-        object.__setattr__(self, "entries", entries)
-
-    def coeff(self, n, m):
-        if not (0 <= n <= m <= self.m_max):
-            raise ValueError(f"(n={n}, m={m}) outside table range m_max={self.m_max}")
-        return self.entries[(n, m)]
-
-
 # ---------------------------------------------------------------------------
 # cocycles
 # ---------------------------------------------------------------------------
@@ -356,19 +329,27 @@ def beta_cocycle(model, x, t):
 
 @lru_cache(maxsize=64)
 def taylor_table(k, m_max):
-    """The one cached FlowTaylorTable per (k, m_max); its entries are a fixed
-    formula, so every caller sees the same coefficients."""
-    return FlowTaylorTable(k, m_max)
+    """The mapping (n, m) -> phi_m^n, 0 <= n <= m <= m_max, for the monomial
+    flow of order k; any other pair raises KeyError.  One cached table per
+    (k, m_max), so every caller sees the same coefficients."""
+    table = {}
+    for n in range(m_max + 1):
+        for m in range(n, m_max + 1):
+            if k == 1:
+                table[n, m] = FlowCoeff("exp", rate=float(n)) if m == n else FlowCoeff("poly")
+            else:
+                table[n, m] = FlowCoeff("poly", poly=tuple(taylor_flow_power(k, n, m).tolist()))
+    return table
 
 
 def check_cocycle_identity(k, n, m, t, s):
     """max |phi_m^n(t) - sum_i phi_m^i(t-s) phi_i^n(s)| over t and s, which
     broadcast; each point's residual is the one a scalar call gives."""
     table = taylor_table(k, max(m, DEFAULT_M_MAX))
-    lhs = table.coeff(n, m)(t)
+    lhs = table[n, m](t)
     rhs = 0.0
     for i in range(n, m + 1):
-        rhs += table.coeff(i, m)(t - s) * table.coeff(n, i)(s)
+        rhs += table[i, m](t - s) * table[n, i](s)
     return float(np.max(np.abs(lhs - rhs)))
 
 

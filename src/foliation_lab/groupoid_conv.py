@@ -15,10 +15,13 @@ points (phi_s(x), t-s) come from cubic interpolation along x (the t argument
 stays on-grid because both operands share one t-step).  The interpolant is
 the not-a-knot cubic spline of ``coeff_ring._spline_coeffs``, whose
 coefficients equal ``CubicSpline``'s bit for bit; ``_spline_locate`` finds the
-interval of each point and ``_spline_horner`` evaluates there.  The
-convolution checks the flow domain and locates every warped node once per
-product; for each quadrature node it evaluates the spline only on the
-contiguous rows between g's first and last nonzero row of that column.
+interval of each point and ``_spline_horner`` evaluates there.  Building a
+kernel is the one flow-domain check, at a support tolerance no larger than
+DERIVED_SUPPORT_TOL, the mass threshold of the operations; so they evaluate
+the flow, NaN exactly off the domain, without checking it again.  The
+convolution locates every warped node once per product; for each quadrature
+node it evaluates the spline only on the contiguous rows between g's first
+and last nonzero row of that column.
 Products get an enlarged t-window equal to the sum of the operand windows;
 the x-window is unchanged.  The adjoint needs f at (phi_tau(x), -tau) only, so
 for each output time it evaluates the x-interpolant of the one mirrored
@@ -82,13 +85,16 @@ class GridSpec(tuple):
 
 
 class GroupoidKernel:
-    """A sampled compactly supported kernel tied to a flow model."""
+    """A sampled compactly supported kernel tied to a flow model; support_tol
+    lies in (0, DERIVED_SUPPORT_TOL]."""
 
     __slots__ = ("flow", "x_grid", "t_grid", "samples", "support_tol")
 
     def __init__(self, flow, x_grid, t_grid, samples, support_tol=DEFAULT_SUPPORT_TOL):
         if not isinstance(flow, FlowModel):
             raise TypeError("flow must be a FlowModel")
+        if not 0.0 < support_tol <= DERIVED_SUPPORT_TOL:
+            raise ValueError(f"support_tol must lie in (0, {DERIVED_SUPPORT_TOL:g}]")
         x_grid = GridSpec(*x_grid)
         t_grid = GridSpec(*t_grid)
         samples = np.asarray(samples)
@@ -112,8 +118,7 @@ class GroupoidKernel:
                 "enlarge the window"
             )
         # every sample carrying mass must be a point of the groupoid, i.e.
-        # admissible for the flow; quadrature re-checks the warped points it
-        # actually visits
+        # admissible for the flow; the operations rely on it
         mass = np.abs(samples) > tol
         if np.any(mass):
             ok = flow.in_domain(t_grid.points[None, :], x_grid.points[:, None])
@@ -140,13 +145,6 @@ class GroupoidKernel:
         X, T = np.meshgrid(x_grid.points, t_grid.points, indexing="ij")
         return cls(flow, x_grid, t_grid, fn(X, T), **kw)
 
-    @classmethod
-    def separable(cls, flow, x_grid, t_grid, a, b, **kw):
-        """Kernel a(x) * b(t) from two one-variable callables."""
-        x_grid = GridSpec(*x_grid)
-        t_grid = GridSpec(*t_grid)
-        return cls(flow, x_grid, t_grid, np.outer(a(x_grid.points), b(t_grid.points)), **kw)
-
     def sup_norm(self):
         return float(np.max(np.abs(self.samples)))
 
@@ -162,8 +160,8 @@ class GroupoidKernel:
 def convolve(f, g):
     """(f*g)(x,t) = integral f(phi_s(x), t-s) g(x,s) ds on the shared grid.
 
-    Raises FlowDomainError if the quadrature needs the flow at a point
-    outside its domain where g actually carries mass.
+    g's construction put its mass inside the flow domain; a warped node
+    off the domain is NaN, where the spline reads 0.
     """
     f._check_compatible(g)
     flow = f.flow
@@ -172,18 +170,8 @@ def convolve(f, g):
     n_out = f.t_grid.count + g.t_grid.count - 1
     out = np.zeros((f.x_grid.count, n_out), dtype=np.result_type(f.samples, g.samples))
 
-    s_vals = g.t_grid.points
-    warped = flow_eval_many(flow, s_vals, xs)  # (n_s, n_x), NaN off-domain
-
-    peak = max(g.sup_norm(), 1.0)
-    tol = min(g.support_tol, DERIVED_SUPPORT_TOL) * peak
-    mass = np.abs(g.samples.T) > tol  # (n_s, n_x)
-    bad = np.isnan(warped) & mass
-    if np.any(bad):
-        l, i = np.argwhere(bad)[0]
-        raise FlowDomainError(
-            f"convolution quadrature leaves the flow domain at s={s_vals[l]:g}, x={xs[i]:g}"
-        )
+    warped = flow_eval_many(flow, g.t_grid.points, xs)  # (n_s, n_x), NaN off-domain
+    mass = np.abs(g.samples.T) > g.support_tol * max(g.sup_norm(), 1.0)  # (n_s, n_x)
     # f's t-columns outside c0:c1 are zero, so their spline is zero and they
     # would add exact zeros
     c0, c1 = _nonzero_span(np.any(f.samples, axis=0))
@@ -231,19 +219,12 @@ def adjoint(f):
         _spline_coeffs(xs, f.samples[:, c0:c1]), (idx, mirrored), offset, outside
     )
     out = np.conj(vals.T)
-    return GroupoidKernel(
-        flow, f.x_grid, t_grid, out, max(f.support_tol, DERIVED_SUPPORT_TOL)
-    )
+    return GroupoidKernel(flow, f.x_grid, t_grid, out, DERIVED_SUPPORT_TOL)
 
 
 def module_mult_left(a, g):
     """(a.g)(x,t) = a(phi_t(x)) g(x,t) for a callable a of the base coordinate."""
     warped = flow_eval_many(g.flow, g.t_grid.points, g.x_grid.points)  # (n_t, n_x)
-    tol = g.support_tol * max(g.sup_norm(), 1.0)
-    mass = np.abs(g.samples.T) > tol
-    bad = np.isnan(warped) & mass
-    if np.any(bad):
-        raise FlowDomainError("left module action needs the flow outside its domain")
     a_vals = np.asarray(a(np.where(np.isnan(warped), 0.0, warped)))
     a_vals = np.where(np.isnan(warped), 0.0, a_vals)
     return GroupoidKernel(
@@ -262,9 +243,6 @@ def module_mult_right(g, a):
 def scale_by_delta(g):
     """Pointwise multiply by the cocycle Delta(x,t) = phi_t(x)/x (extended)."""
     vals = cocycle_delta_many(g.flow, g.t_grid.points, g.x_grid.points).T  # (n_x, n_t)
-    tol = g.support_tol * max(g.sup_norm(), 1.0)
-    if np.any(np.isnan(vals) & (np.abs(g.samples) > tol)):
-        raise FlowDomainError("cocycle scaling needs the flow outside its domain")
     vals = np.where(np.isnan(vals), 0.0, vals)
     return GroupoidKernel(g.flow, g.x_grid, g.t_grid, vals * g.samples, g.support_tol)
 

@@ -90,7 +90,7 @@ def jet_mul(f, g):
         acc = None
         for n in range(q + 1):
             for m in range(n, q + 1):
-                c = table.coeff(n, m)
+                c = table[n, m]
                 if c.is_zero():
                     continue
                 term = f.coeffs[n].convolve(c.apply(g.coeffs[q - m]))
@@ -117,7 +117,7 @@ def x_mult_left(f):
     for q in range(1, f.p + 1):
         acc = None
         for m in range(1, q + 1):
-            c = table.coeff(1, m)
+            c = table[1, m]
             if c.is_zero():
                 continue
             term = c.apply(f.coeffs[q - m])

@@ -45,7 +45,7 @@ class UnderResolvedLoopError(ValueError):
 
 
 class SymbolLoop:
-    """A closed loop of complex values: a symbol on the circle or the
+    """A closed loop of finite complex values: a symbol on the circle or the
     compactified line."""
 
     __slots__ = ("values", "kind", "label")
@@ -54,6 +54,8 @@ class SymbolLoop:
         values = np.ascontiguousarray(values, dtype=complex)
         if values.ndim != 1 or values.size < 3:
             raise ValueError("a loop needs at least three samples")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("loop samples must be finite")
         self.values = values
         self.kind = kind
         self.label = label
@@ -152,7 +154,7 @@ def winding_diagnostics(loop):
 # ---------------------------------------------------------------------------
 
 
-def fourier_transform_values(f, s, endpoint_correction=True):
+def fourier_transform_values(f, s):
     """F f at the points s by corrected trapezoid quadrature on f's grid.
 
     With B = ceil(sqrt(n)) and t_j = t0 + (a B + b) h, the phase factors as
@@ -180,7 +182,7 @@ def fourier_transform_values(f, s, endpoint_correction=True):
     outer = np.exp(-2j * np.pi * s[:, None] * (f.t_start + block * h * np.arange(blocks)))
     inner = np.exp(-2j * np.pi * s[:, None] * (h * np.arange(block)))
     vals = np.sum(outer * np.einsum("sb,ab->sa", inner, wy.reshape(blocks, block)), axis=1) * h
-    if endpoint_correction and n >= 3:
+    if n >= 3:
         d0 = (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * h)
         d1 = (3.0 * y[-1] - 4.0 * y[-2] + y[-3]) / (2.0 * h)
         twopis = 2j * np.pi * s
@@ -241,31 +243,18 @@ def _cayley_tail(d, radius):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiniteSection:
-    """An N x N truncation of a Toeplitz operator."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-            raise ValueError("finite section must be a square matrix")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("finite section entries must be finite")
-
-
 def toeplitz_finite_section(loop, n):
-    """Matrix (T_f)_{jk} = fhat(j - k) from the circle Fourier coefficients
-    of the loop (discrete quadrature over the samples)."""
+    """The n x n matrix (T_f)_{jk} = fhat(j - k), an ndarray, from the circle
+    Fourier coefficients of the loop (discrete quadrature over the samples)."""
     if loop.kind != "circle":
         raise ValueError("finite sections are built from circle-sampled loops")
+    if n < 1:
+        raise ValueError("a finite section needs n >= 1")
     vals = loop.values
     m = vals.size
     fft = np.fft.fft(vals) / m  # fft[k] = mean of f(z_j) z_j^{-k} = fhat(k)
     idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % m
-    matrix = fft[idx]
-    return FiniteSection(matrix)
+    return fft[idx]
 
 
 def finite_section_kernel_counts(section):
@@ -273,7 +262,7 @@ def finite_section_kernel_counts(section):
     below 1e-10.  A diagnostic only: finite sections of shift-like operators grow
     spurious kernel vectors that the true operator does not have, so the
     index of record always comes from the winding number."""
-    svals = np.linalg.svd(np.asarray(section.matrix), compute_uv=False)
+    svals = np.linalg.svd(section, compute_uv=False)
     n_small = int(np.sum(svals < 1e-10))
     # the matrix is square, so kernel and cokernel counts coincide
     return n_small, n_small
@@ -388,10 +377,9 @@ class Diffeomorphism:
     inverted numerically (a monotone table on [-60, 60], continued along u's
     tangent lines at its ends, as the seed, then Newton polish)."""
 
-    def __init__(self, u, du, label=""):
+    def __init__(self, u, du):
         self.u = u
         self.du = du
-        self.label = label
         xs = np.linspace(-60.0, 60.0, 120001)
         us = np.asarray(u(xs), dtype=float)
         if np.any(np.diff(us) <= 0):
@@ -401,7 +389,7 @@ class Diffeomorphism:
 
     @classmethod
     def identity(cls):
-        return cls(lambda x: np.asarray(x, dtype=float), lambda x: np.ones_like(np.asarray(x, dtype=float)), label="identity")
+        return cls(lambda x: np.asarray(x, dtype=float), lambda x: np.ones_like(np.asarray(x, dtype=float)))
 
     @classmethod
     def exp_stretch(cls):
@@ -409,7 +397,6 @@ class Diffeomorphism:
         return cls(
             lambda x: np.asarray(x, dtype=float) + np.exp(np.minimum(np.asarray(x, dtype=float), 700.0)),
             lambda x: 1.0 + np.exp(np.minimum(np.asarray(x, dtype=float), 700.0)),
-            label="x + exp(x)",
         )
 
     def inverse(self, y):

@@ -39,6 +39,9 @@ def test_load_config_defaults_and_overrides(tmp_path):
     assert cfg["k_values"] == [1, 2]
     with pytest.raises(ValueError):
         load_config(None, ["bogus"])
+    for key in ("bogus", "grid.x_stp", "tolerances.foo"):
+        with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+            load_config(None, [f"{key}=1"])
     path = write_cfg(tmp_path)
     cfg2 = load_config(path, [])
     assert cfg2["trials"] == 2
@@ -71,15 +74,41 @@ def test_non_integer_config_is_bad_config(tmp_path, capsys, override):
 
 @pytest.mark.parametrize(
     "override",
-    ["grid.x_step=abc", "max_jet_order=abc", "max_jet_order=-1", "seed=abc", "grid=3"],
+    [
+        "grid.x_step=abc",
+        "max_jet_order=abc",
+        "max_jet_order=-1",
+        "seed=abc",
+        "grid=3",
+        # unknown keys, at any depth, used to be ignored
+        "bogus=1",
+        "grid.x_stp=0.001",
+        "tolerances.foo=1",
+        # a key below a non-object, like these, used to end in a TypeError
+        "seed.x=1",
+        "grid.t_step.x=1",
+        "k_values.x=1",
+    ],
 )
 def test_mistyped_config_is_bad_config(tmp_path, capsys, override):
-    # each of these used to escape validation and exit 1 with a traceback
+    # each of these used to escape validation and exit 0 or 1
     out = str(tmp_path / "never.json")
     code = main(["classify", "--override", override, "--out", out])
     assert code == 2
     assert not os.path.exists(out)
-    assert "error: bad config" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: bad config" in err
+    assert override.split(".")[0].split("=")[0] in err
+
+
+def test_non_object_config_file_is_bad_config(tmp_path, capsys):
+    # used to end in an AttributeError traceback
+    path = tmp_path / "list.json"
+    path.write_text('["a"]')
+    out = str(tmp_path / "never.json")
+    assert main(["classify", "--config", str(path), "--out", out]) == 2
+    assert not os.path.exists(out)
+    assert "config must be an object" in capsys.readouterr().err
 
 
 def test_classify_cli_roundtrip(tmp_path, capsys):

@@ -19,15 +19,16 @@ from foliation_lab.flow import (
     MONOMIAL,
     FlowDomainError,
     FlowModel,
-    FlowTaylorTable,
     beta_cocycle,
     check_cocycle_identity,
     check_composition_identity,
     cocycle_delta,
+    cocycle_delta_many,
     flow_derivative,
     flow_eval,
     flow_eval_many,
     taylor_flow_power,
+    taylor_table,
 )
 
 # ---------------------------------------------------------------------------
@@ -149,9 +150,9 @@ def test_taylor_flow_power_edges():
 
 def test_taylor_table_invariants_and_json():
     for k in (1, 2, 3):
-        table = FlowTaylorTable(k, 6)
+        table = taylor_table(k, 6)
         for n in range(7):
-            diag = table.coeff(n, n)
+            diag = table[n, n]
             t = np.linspace(-1, 1, 11)
             if k == 1:
                 np.testing.assert_allclose(diag(t), np.exp(n * t))
@@ -159,9 +160,13 @@ def test_taylor_table_invariants_and_json():
                 np.testing.assert_allclose(diag(t), np.ones_like(t))
             for m in range(n + 1, 7):
                 if m - n < k - 1 or (k == 1 and m != n):
-                    assert table.coeff(n, m).is_zero()
+                    assert table[n, m].is_zero()
         for m in range(1, 7):
-            assert table.coeff(0, m).is_zero()
+            assert table[0, m].is_zero()
+        # only 0 <= n <= m <= m_max is tabulated
+        for pair in ((2, 1), (0, 7), (-1, 0)):
+            with pytest.raises(KeyError):
+                table[pair]
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +195,24 @@ def test_flow_domain_error():
         flow_eval(FlowModel(2), 1.0, 1.0)
     with pytest.raises(FlowDomainError):
         flow_derivative(FlowModel(3), 2.0, 1.0)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("variant", [MONOMIAL, COMPLETE_RESCALED])
+@pytest.mark.parametrize("time_reversed", [False, True])
+def test_grid_evaluation_is_nan_exactly_off_the_domain(k, variant, time_reversed):
+    # groupoid operations rely on this instead of checking the domain again
+    model = FlowModel(k, variant, time_reversed)
+    xs = np.arange(-12, 13) / 8.0
+    # dyadic times hit (k-1) t x^(k-1) = 1 exactly for k = 2, 3, 5; the
+    # computed edge times and their neighbours straddle it for every k
+    edge = np.array([1.0 / (max(k - 1, 1) * x ** max(k - 1, 1)) for x in (0.5, 0.75, 1.25)])
+    ts = np.concatenate([np.arange(-16, 17) / 8.0, edge, np.nextafter(edge, 0), np.nextafter(edge, 9)])
+    ts = np.concatenate([ts, -ts])
+    off = ~model.in_domain(ts[:, None], xs)
+    assert np.any(off) == (variant == MONOMIAL and k > 1)
+    assert np.array_equal(np.isnan(flow_eval_many(model, ts, xs)), off)
+    assert np.array_equal(np.isnan(cocycle_delta_many(model, ts, xs)), off)
 
 
 def test_flow_derivative_closed_forms():
@@ -378,8 +401,8 @@ def test_cocycle_identity_examples():
     # s = 0 collapses to an exact tautology
     assert check_cocycle_identity(2, 1, 3, 1.3, 0.0) == 0.0
     # hand expansion at k=2, n=1, m=3, t=2, s=1: both sides equal 4
-    table = FlowTaylorTable(2, 4)
-    lhs = table.coeff(1, 3)(2.0)
+    table = taylor_table(2, 4)
+    lhs = table[1, 3](2.0)
     assert lhs == pytest.approx(4.0)
     assert check_cocycle_identity(2, 1, 3, 2.0, 1.0) <= 1e-12
     # k = 1 diagonal: the exponential law

@@ -196,7 +196,7 @@ def convolve_column_loop(f, g):
     of f, zero or not."""
     xs = f.x_grid.points
     warped = flow_eval_many(f.flow, g.t_grid.points, xs)
-    tol = min(g.support_tol, DERIVED_SUPPORT_TOL) * max(g.sup_norm(), 1.0)
+    tol = g.support_tol * max(g.sup_norm(), 1.0)
     c = _spline_coeffs(xs, f.samples)
     trap_w = np.ones(g.t_grid.count)
     trap_w[0] = trap_w[-1] = 0.5
@@ -249,8 +249,8 @@ def test_kernels_keep_sample_dtype():
     model = FlowModel(2)
     ident = lambda x: x
     f = make_kernel(model, lambda X, T: mollifier(X, 0.3) * mollifier(T, 0.4) * (1 + X))
-    g = GroupoidKernel.separable(
-        model, f.x_grid, f.t_grid, lambda x: mollifier(x, 0.3), lambda t: mollifier(t, 0.4)
+    g = GroupoidKernel.from_function(
+        model, f.x_grid, f.t_grid, lambda X, T: mollifier(X, 0.3) * mollifier(T, 0.4)
     )
     real = [
         f,
@@ -464,17 +464,25 @@ def test_domain_violation_at_construction():
         )
 
 
-def test_convolution_domain_violation():
-    # an honest kernel never sends the quadrature out of the domain, so this
-    # builds one with the support check opted out (mass at t*x >= 1)
+@pytest.mark.parametrize("support_tol", [np.inf, 1e-6, 0.0, -1e-10, np.nan])
+def test_support_tol_outside_its_range_is_rejected(support_tol):
+    model = FlowModel(2)
+    xg = GridSpec.centered(0.9, 0.02)
+    tg = GridSpec.centered(1.5, 0.05)
+    with pytest.raises(ValueError, match="support_tol"):
+        GroupoidKernel(model, xg, tg, np.zeros((xg.count, tg.count)), support_tol=support_tol)
+
+
+def test_off_domain_mass_is_rejected_at_the_largest_support_tol():
+    # the operations skip the domain check because construction makes it at
+    # the threshold they use; mass at t*x >= 1 fails even at the largest one
     model = FlowModel(2)
     xg = GridSpec.centered(0.9, 0.02)
     tg = GridSpec.centered(1.5, 0.05)
     X, T = np.meshgrid(xg.points, tg.points, indexing="ij")
     samples = mollifier(X - 0.7, 0.15) * mollifier(T, 1.4)
-    dishonest = GroupoidKernel(model, xg, tg, samples, support_tol=np.inf)
     with pytest.raises(FlowDomainError):
-        convolve(dishonest, dishonest)
+        GroupoidKernel(model, xg, tg, samples, support_tol=DERIVED_SUPPORT_TOL)
 
 
 def test_rescaled_variant_convolves():

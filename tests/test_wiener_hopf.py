@@ -8,7 +8,6 @@ from foliation_lab.coeff_ring import GridFn, _bump
 from foliation_lab.flow import COMPLETE_RESCALED, MONOMIAL, FlowModel
 from foliation_lab.wiener_hopf import (
     Diffeomorphism,
-    FiniteSection,
     FlowBiIndex,
     GaussianSpec,
     NonFredholmError,
@@ -59,9 +58,10 @@ def test_transform_of_zero():
     assert np.max(np.abs(fourier_transform_values(z, np.linspace(-1, 1, 11)))) == 0.0
 
 
-def _direct_transform(f, s, endpoint_correction=True):
+def _direct_transform(f, s, corrected):
     """Oracle: the dense trapezoid sum, one exponential per (s, t_j) pair,
-    plus the h^2/12 endpoint correction from one-sided differences."""
+    plus, when ``corrected``, the h^2/12 endpoint correction from one-sided
+    differences."""
     y = f.samples
     h = f.t_step
     t = f.t_start + h * np.arange(y.size)
@@ -69,7 +69,7 @@ def _direct_transform(f, s, endpoint_correction=True):
     w = np.ones(y.size)
     w[0] = w[-1] = 0.5
     vals = np.exp(-2j * np.pi * s[:, None] * t[None, :]) @ (w * y) * h
-    if endpoint_correction and y.size >= 3:
+    if corrected:
         d0 = (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * h)
         d1 = (3.0 * y[-1] - 4.0 * y[-2] + y[-3]) / (2.0 * h)
         gp0 = (d0 - 2j * np.pi * s * y[0]) * np.exp(-2j * np.pi * s * t[0])
@@ -83,7 +83,7 @@ def _bumpy(t):
 
 
 @pytest.mark.parametrize(
-    "f, s, endpoint_correction",
+    "f, s, corrected",
     [
         # the index suite's kernel and points
         (generator_kernel(), np.linspace(-4.0, 4.0, 81), True),
@@ -95,12 +95,14 @@ def _bumpy(t):
         (GridFn.from_function(_bumpy, -10.0, 0.01, 2003), np.array([]), True),
         # n = 3, the smallest grid with the endpoint correction
         (GridFn(-0.5, 0.5, [1.0, 2.0 - 1.0j, 0.5], support_tol=np.inf), np.linspace(-2.0, 2.0, 9), True),
-        (generator_kernel(t_radius=20.0, t_step=0.01), np.linspace(-4.0, 4.0, 81), False),
+        (generator_kernel(t_radius=20.0, t_step=0.01), np.linspace(-4.0, 4.0, 81), True),
+        # two samples have no one-sided second-order differences: no correction
+        (GridFn(-0.5, 0.5, [1.0, 2.0 - 1.0j], support_tol=np.inf), np.linspace(-2.0, 2.0, 9), False),
     ],
 )
-def test_factored_quadrature_matches_direct_sum(f, s, endpoint_correction):
-    got = fourier_transform_values(f, s, endpoint_correction=endpoint_correction)
-    want = _direct_transform(f, s, endpoint_correction=endpoint_correction)
+def test_factored_quadrature_matches_direct_sum(f, s, corrected):
+    got = fourier_transform_values(f, s)
+    want = _direct_transform(f, s, corrected)
     assert got.shape == want.shape == np.atleast_1d(s).shape
     w = np.ones(f.samples.size)
     w[0] = w[-1] = 0.5
@@ -137,25 +139,26 @@ def test_cayley_hardy_vs_antihardy():
 
 def test_section_of_constant_symbol():
     sec = toeplitz_finite_section(SymbolLoop.from_circle_function(lambda z: np.ones_like(z)), 5)
-    np.testing.assert_allclose(sec.matrix, np.eye(5), atol=1e-13)
+    assert isinstance(sec, np.ndarray)
+    np.testing.assert_allclose(sec, np.eye(5), atol=1e-13)
 
 
 def test_section_of_shift_symbol():
     sec = toeplitz_finite_section(SymbolLoop.from_circle_function(lambda z: z), 5)
-    np.testing.assert_allclose(sec.matrix, np.eye(5, k=-1), atol=1e-13)
+    np.testing.assert_allclose(sec, np.eye(5, k=-1), atol=1e-13)
 
 
 def test_section_of_generator_symbol_is_banded():
     sec = toeplitz_finite_section(SymbolLoop.from_circle_function(lambda z: 1.0 - z), 6)
     want = np.eye(6) - np.eye(6, k=-1)
-    np.testing.assert_allclose(sec.matrix, want, atol=1e-13)
+    np.testing.assert_allclose(sec, want, atol=1e-13)
 
 
 def test_section_validation():
-    with pytest.raises(ValueError):
-        FiniteSection(matrix=np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        FiniteSection(matrix=np.array([[np.inf]]))
+    circle = SymbolLoop.from_circle_function(lambda z: z)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n >= 1"):
+            toeplitz_finite_section(circle, n)
     line = generator_symbol_loop(512)
     with pytest.raises(ValueError):
         toeplitz_finite_section(line, 4)
@@ -231,6 +234,14 @@ def test_winding_errors():
 def test_line_loop_closure_check():
     with pytest.raises(ValueError):
         SymbolLoop.from_line_function(lambda s: np.arctan(s), n=256)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_loop_rejects_non_finite_samples(bad):
+    with pytest.raises(ValueError, match="finite"):
+        SymbolLoop([1.0, bad, 1.0j, -1.0])
+    with pytest.raises(ValueError, match="finite"):
+        SymbolLoop.from_circle_function(lambda z: np.where(z.imag > 0.5, bad, z), n=64)
 
 
 def test_loop_arithmetic_guards():
