@@ -7,12 +7,18 @@ multiplication by polynomials in ``t`` and multiplication by exponentials
 ``exp(c*t)``, which is everything the twisted jet products require; every
 jet coefficient is one.
 
-``GridFn`` is a function sampled on a uniform grid, zero outside the
+``GridSpec`` is the one sampled axis, (start, step, count), of both
+``GridFn`` and the groupoid kernels.  ``GridSpec.convolved`` is the axis of
+a discrete convolution: the steps must agree, and it starts at the sum of
+the starts, whatever the offsets.  ``_edge_tol`` is the one window-edge
+rule: a sampled function must fall below ``support_tol * max(1, peak)`` on
+the boundary of its window.
+
+``GridFn`` is a function sampled on a ``GridSpec``, zero outside the
 sampled window.  Its one operation is convolution, discrete quadrature
 through a zero-padded ``numpy.fft`` product (``_fft_convolve``); real samples
-stay ``float64``.  ``sampled_ring_matches_exact_ring`` convolves it, the
-index suite transforms it, and the non-preservation demo shares
-``_fft_convolve``.
+stay ``float64``.  ``sampled_ring_matches_exact_ring`` convolves it, and the
+non-preservation demo shares ``_fft_convolve``.
 
 The exact kernel works on plain coefficient arrays, each atom's in powers
 of its own ``u``.  Two atoms convolve by the Gaussian moment integral as
@@ -58,10 +64,6 @@ DEFAULT_SUPPORT_TOL = 1e-10
 
 class RepresentationMismatchError(TypeError):
     """Raised when an operation mixes GridFn and GaussPolyFn operands."""
-
-
-class GridMismatchError(ValueError):
-    """Raised when two GridFn operands live on incommensurable grids."""
 
 
 def horner(coeffs, t, out=None):
@@ -207,50 +209,88 @@ def _spline_horner(c, pick, dx, outside):
     return vals
 
 
-class GridFn:
-    """A function of t sampled on a uniform grid, zero outside the window."""
+class GridSpec(tuple):
+    """(start, step, count) of a uniform axis."""
 
-    __slots__ = ("t_start", "t_step", "samples")
-
-    def __init__(self, t_start, t_step, samples, support_tol=DEFAULT_SUPPORT_TOL):
-        samples = np.asarray(samples)
-        samples = np.array(samples, dtype=np.result_type(samples, float))  # own the data
-        if samples.ndim != 1 or samples.size == 0:
-            raise ValueError("samples must be a nonempty 1-d array")
-        if not t_step > 0:
-            raise ValueError("t_step must be positive")
-        peak = float(np.max(np.abs(samples)))
-        edge = max(abs(samples[0]), abs(samples[-1]))
-        if edge > support_tol * max(1.0, peak):
-            raise ValueError(
-                f"window-edge value {edge:.3e} exceeds support tolerance; "
-                "enlarge the window so the function decays inside it"
-            )
-        samples.setflags(write=False)  # values are immutable after construction
-        self.t_start = float(t_start)
-        self.t_step = float(t_step)
-        self.samples = samples
-
-    # -- construction helpers ------------------------------------------------
+    def __new__(cls, start, step, count):
+        if not step > 0:
+            raise ValueError("grid step must be positive")
+        if count < 2:
+            raise ValueError("grid needs at least two points")
+        return super().__new__(cls, (float(start), float(step), int(count)))
 
     @classmethod
-    def from_function(cls, fn, t_start, t_step, count, **kw):
-        t = t_start + t_step * np.arange(count)
-        return cls(t_start, t_step, fn(t), **kw)
+    def centered(cls, radius, step):
+        n = int(round(radius / step))
+        return cls(-n * step, step, 2 * n + 1)
+
+    @property
+    def start(self):
+        return self[0]
+
+    @property
+    def step(self):
+        return self[1]
 
     @property
     def count(self):
-        return self.samples.size
+        return self[2]
 
     @property
-    def t_end(self):
-        return self.t_start + self.t_step * (self.count - 1)
+    def end(self):
+        return self.start + self.step * (self.count - 1)
 
-    # -- convolution ---------------------------------------------------------
+    @property
+    def points(self):
+        return self.start + self.step * np.arange(self.count)
+
+    def convolved(self, other):
+        """The axis of the discrete convolution of samples on self and other:
+        with a shared step h, sum_j f(a + (n - j) h) g(b + j h) is the value at
+        a + b + n h, so it starts at the sum of the starts, whatever the
+        offsets, and has count + count' - 1 points.  The steps must agree to
+        1e-12 relative."""
+        if abs(self.step - other.step) > 1e-12 * self.step:
+            raise ValueError(f"step mismatch: {self.step} vs {other.step}")
+        return GridSpec(self.start + other.start, self.step, self.count + other.count - 1)
+
+
+def _edge_tol(samples, support_tol):
+    """The window-edge rule of every sampled function: the mass threshold
+    ``support_tol * max(1, peak)``, returned once the samples on the boundary
+    of the window (the first and last entry along each axis) are checked to
+    lie within it."""
+    tol = support_tol * max(1.0, float(np.max(np.abs(samples))))
+    edge = max(
+        float(np.max(np.abs(samples.take([0, -1], axis=a)))) for a in range(samples.ndim)
+    )
+    if edge > tol:
+        raise ValueError(
+            f"kernel does not vanish on the grid boundary (max {edge:.3e}); "
+            "enlarge the window"
+        )
+    return tol
+
+
+class GridFn:
+    """A function of t sampled on a ``GridSpec``, zero outside the window."""
+
+    __slots__ = ("grid", "samples")
+
+    def __init__(self, grid, samples):
+        grid = GridSpec(*grid)
+        samples = np.asarray(samples)
+        samples = np.array(samples, dtype=np.result_type(samples, float))  # own the data
+        if samples.shape != (grid.count,):
+            raise ValueError(f"samples shape {samples.shape} does not match the grid {grid}")
+        _edge_tol(samples, DEFAULT_SUPPORT_TOL)
+        samples.setflags(write=False)  # values are immutable after construction
+        self.grid = grid
+        self.samples = samples
 
     def convolve(self, other):
-        """(f*g)(t) = integral f(t-s) g(s) ds by discrete quadrature, on grids
-        of one step whose offsets differ by a whole number of steps.
+        """(f*g)(t) = integral f(t-s) g(s) ds by discrete quadrature, on the
+        axis ``GridSpec.convolved`` gives.
 
         Endpoint samples vanish by the support invariant, so the plain
         Riemann sum coincides with the trapezoid rule.
@@ -259,21 +299,11 @@ class GridFn:
             raise RepresentationMismatchError(
                 "cannot combine GridFn with " + type(other).__name__
             )
-        if not np.isclose(self.t_step, other.t_step, rtol=1e-12, atol=0):
-            raise GridMismatchError(
-                f"t_step mismatch: {self.t_step} vs {other.t_step}"
-            )
-        off = (other.t_start - self.t_start) / self.t_step
-        if abs(off - round(off)) > 1e-9:
-            raise GridMismatchError("grid offsets are not commensurable")
-        conv = _fft_convolve(self.samples, other.samples)
-        return GridFn(self.t_start + other.t_start, self.t_step, conv * self.t_step)
+        grid = self.grid.convolved(other.grid)
+        return GridFn(grid, _fft_convolve(self.samples, other.samples) * grid.step)
 
     def __repr__(self):
-        return (
-            f"GridFn(t_start={self.t_start:g}, t_step={self.t_step:g}, "
-            f"count={self.count})"
-        )
+        return f"GridFn(grid={tuple(self.grid)})"
 
 
 # ---------------------------------------------------------------------------
@@ -550,9 +580,8 @@ class GaussPolyFn:
         hi = max(a.mean + 12.0 * sqrt(a.variance) for a in self.atoms)
         return (lo, hi)
 
-    def sample(self, t_start, t_step, count, **kw):
-        t = t_start + t_step * np.arange(count)
-        return GridFn(t_start, t_step, self(t), **kw)
+    def sample(self, grid):
+        return GridFn(grid, self(grid.points))
 
     def sup_norm(self):
         """max |f|, searched on ``support_window()``: 4,001 evenly spaced

@@ -22,10 +22,12 @@ the flow, NaN exactly off the domain, without checking it again.  The
 convolution locates every warped node once per product; for each quadrature
 node it evaluates the spline only on the contiguous rows between g's first
 and last nonzero row of that column.
-Products get an enlarged t-window equal to the sum of the operand windows;
-the x-window is unchanged.  The adjoint needs f at (phi_tau(x), -tau) only, so
-for each output time it evaluates the x-interpolant of the one mirrored
-column, straight from the spline's piecewise coefficients.  Both build and
+A product's t-axis is ``GridSpec.convolved`` of its operands' axes, the rule
+``GridFn`` products follow too; the x-window is unchanged.  The window-edge
+check of a kernel is ``coeff_ring._edge_tol``, shared with ``GridFn``.  The
+adjoint needs f at (phi_tau(x), -tau) only, so for each output time it
+evaluates the x-interpolant of the one mirrored column, straight from the
+spline's piecewise coefficients.  Both build and
 evaluate the spline on f's window of t-columns between its first and last
 nonzero one only: a zero column has a zero spline and adds exact zeros, so
 every result is the same bit for bit as with the full spline.
@@ -39,49 +41,14 @@ from __future__ import annotations
 import numpy as np
 
 from .coeff_ring import (
-    DEFAULT_SUPPORT_TOL, _nonzero_span, _spline_coeffs, _spline_horner, _spline_locate
+    DEFAULT_SUPPORT_TOL, GridSpec, _edge_tol, _nonzero_span, _spline_coeffs, _spline_horner,
+    _spline_locate,
 )
 from .flow import FlowDomainError, FlowModel, cocycle_delta_many, flow_eval_many
 
 # kernels produced by interpolating operations carry cubic-interpolation
 # ringing off the support edge; their boundary check allows for it
 DERIVED_SUPPORT_TOL = 1e-7
-
-
-class GridSpec(tuple):
-    """(start, step, count) of a uniform axis."""
-
-    def __new__(cls, start, step, count):
-        if not step > 0:
-            raise ValueError("grid step must be positive")
-        if count < 2:
-            raise ValueError("grid needs at least two points")
-        return super().__new__(cls, (float(start), float(step), int(count)))
-
-    @classmethod
-    def centered(cls, radius, step):
-        n = int(round(radius / step))
-        return cls(-n * step, step, 2 * n + 1)
-
-    @property
-    def start(self):
-        return self[0]
-
-    @property
-    def step(self):
-        return self[1]
-
-    @property
-    def count(self):
-        return self[2]
-
-    @property
-    def end(self):
-        return self.start + self.step * (self.count - 1)
-
-    @property
-    def points(self):
-        return self.start + self.step * np.arange(self.count)
 
 
 class GroupoidKernel:
@@ -104,19 +71,7 @@ class GroupoidKernel:
                 f"samples shape {samples.shape} does not match grids "
                 f"({x_grid.count}, {t_grid.count})"
             )
-        peak = float(np.max(np.abs(samples))) if samples.size else 0.0
-        tol = support_tol * max(1.0, peak)
-        boundary = max(
-            float(np.max(np.abs(samples[0, :]))),
-            float(np.max(np.abs(samples[-1, :]))),
-            float(np.max(np.abs(samples[:, 0]))),
-            float(np.max(np.abs(samples[:, -1]))),
-        )
-        if boundary > tol:
-            raise ValueError(
-                f"kernel does not vanish on the grid boundary (max {boundary:.3e}); "
-                "enlarge the window"
-            )
+        tol = _edge_tol(samples, support_tol)
         # every sample carrying mass must be a point of the groupoid, i.e.
         # admissible for the flow; the operations rely on it
         mass = np.abs(samples) > tol
@@ -153,8 +108,6 @@ class GroupoidKernel:
             raise ValueError("kernels live over different flows")
         if tuple(self.x_grid) != tuple(other.x_grid):
             raise ValueError("x-grid mismatch")
-        if abs(self.t_grid.step - other.t_grid.step) > 1e-12 * self.t_grid.step:
-            raise ValueError("t-step mismatch")
 
 
 def convolve(f, g):
@@ -164,11 +117,11 @@ def convolve(f, g):
     off the domain is NaN, where the spline reads 0.
     """
     f._check_compatible(g)
+    t_grid = f.t_grid.convolved(g.t_grid)
     flow = f.flow
     xs = f.x_grid.points
-    dt = f.t_grid.step
-    n_out = f.t_grid.count + g.t_grid.count - 1
-    out = np.zeros((f.x_grid.count, n_out), dtype=np.result_type(f.samples, g.samples))
+    dt = t_grid.step
+    out = np.zeros((f.x_grid.count, t_grid.count), dtype=np.result_type(f.samples, g.samples))
 
     warped = flow_eval_many(flow, g.t_grid.points, xs)  # (n_s, n_x), NaN off-domain
     mass = np.abs(g.samples.T) > g.support_tol * max(g.sup_norm(), 1.0)  # (n_s, n_x)
@@ -191,7 +144,6 @@ def convolve(f, g):
     # memory; with them alive the copy took about twice as long on the
     # refined grids
     del idx, offset, outside, spline
-    t_grid = GridSpec(f.t_grid.start + g.t_grid.start, dt, n_out)
     return GroupoidKernel(flow, f.x_grid, t_grid, out, f.support_tol)
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeff_ring import GridFn, _bump, _fft_convolve, _nonzero_span
+from .coeff_ring import GridSpec, _bump, _fft_convolve, _nonzero_span
 
 
 class NonFredholmError(ValueError):
@@ -154,8 +154,10 @@ def winding_diagnostics(loop):
 # ---------------------------------------------------------------------------
 
 
-def fourier_transform_values(f, s):
-    """F f at the points s by corrected trapezoid quadrature on f's grid.
+def fourier_transform_values(grid, y, s):
+    """F f at the points s by corrected trapezoid quadrature, from the samples
+    y of f on the axis grid (a ``GridSpec``); f need not vanish at the window
+    edges.
 
     With B = ceil(sqrt(n)) and t_j = t0 + (a B + b) h, the phase factors as
     exp(-2 pi i s (t0 + a B h)) exp(-2 pi i s b h), so the trapezoid sum is one
@@ -167,10 +169,7 @@ def fourier_transform_values(f, s):
     integrand, which restores O(h^4) accuracy when f is cut off or kinked at
     a window endpoint (one-sided second-order differences estimate f' there).
     """
-    if not isinstance(f, GridFn):
-        raise TypeError("fourier_transform_values expects a GridFn")
-    y = f.samples
-    h = f.t_step
+    h = grid.step
     n = y.size
     s = np.atleast_1d(np.asarray(s, dtype=float))
     block = int(np.ceil(np.sqrt(n)))
@@ -179,15 +178,15 @@ def fourier_transform_values(f, s):
     wy[:n] = y
     wy[0] = 0.5 * y[0]
     wy[n - 1] = 0.5 * y[-1]
-    outer = np.exp(-2j * np.pi * s[:, None] * (f.t_start + block * h * np.arange(blocks)))
+    outer = np.exp(-2j * np.pi * s[:, None] * (grid.start + block * h * np.arange(blocks)))
     inner = np.exp(-2j * np.pi * s[:, None] * (h * np.arange(block)))
     vals = np.sum(outer * np.einsum("sb,ab->sa", inner, wy.reshape(blocks, block)), axis=1) * h
     if n >= 3:
         d0 = (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * h)
         d1 = (3.0 * y[-1] - 4.0 * y[-2] + y[-3]) / (2.0 * h)
         twopis = 2j * np.pi * s
-        gp0 = (d0 - twopis * y[0]) * np.exp(-2j * np.pi * s * f.t_start)
-        gp1 = (d1 - twopis * y[-1]) * np.exp(-2j * np.pi * s * f.t_end)
+        gp0 = (d0 - twopis * y[0]) * np.exp(-2j * np.pi * s * grid.start)
+        gp1 = (d1 - twopis * y[-1]) * np.exp(-2j * np.pi * s * grid.end)
         vals = vals - (h * h / 12.0) * (gp1 - gp0)
     return vals
 
@@ -274,16 +273,15 @@ def finite_section_kernel_counts(section):
 
 
 def generator_kernel(t_radius=60.0, t_step=1e-3):
-    """The kernel b(t) = exp(-t/2) for t >= 0 sampled on [0, radius].
+    """The kernel b(t) = exp(-t/2) for t >= 0 sampled on [0, radius], as
+    ``(grid, samples)``.
 
-    b jumps to 1 at the left window edge, so the compact-support edge check
-    is opted out; the corrected trapezoid in ``fourier_transform_values``
-    handles the cut-off endpoint at O(h^4).
+    b jumps to 1 at the left window edge, so it is not a ``GridFn``, whose
+    samples vanish at the window edges; the corrected trapezoid in
+    ``fourier_transform_values`` handles the cut-off endpoint at O(h^4).
     """
-    n = int(round(t_radius / t_step)) + 1
-    return GridFn.from_function(
-        lambda t: np.exp(-t / 2.0), 0.0, t_step, n, support_tol=np.inf
-    )
+    grid = GridSpec(0.0, t_step, int(round(t_radius / t_step)) + 1)
+    return grid, np.exp(-grid.points / 2.0)
 
 
 def generator_hat_closed_form(s):

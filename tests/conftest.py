@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from foliation_lab.coeff_ring import GridSpec
 from foliation_lab.coeff_ring import _bump as mollifier  # noqa: F401  (shared with the suites)
-from foliation_lab.groupoid_conv import GridSpec, GroupoidKernel
+from foliation_lab.groupoid_conv import GroupoidKernel
 
 
 def plateau(u, r_in, r_out):

@@ -11,9 +11,9 @@ import pytest
 
 from conftest import make_kernel, mollifier
 from foliation_lab.cli import _taylor_gap
-from foliation_lab.coeff_ring import random_gauss_poly
+from foliation_lab.coeff_ring import GridSpec, random_gauss_poly
 from foliation_lab.flow import COMPLETE_RESCALED, FlowModel, check_cocycle_identity
-from foliation_lab.groupoid_conv import GridSpec, adjoint, convolve
+from foliation_lab.groupoid_conv import adjoint, convolve
 from foliation_lab.jet_algebra import (
     Jet,
     commutativity_report,
@@ -169,10 +169,9 @@ def test_criterion_6_index_generator():
         assert rep["winding"] == 1
         assert rep["residual"] <= 0.05
         assert rep["boundary_index"] == -1
-        b = generator_kernel()
         s = np.linspace(-4.0, 4.0, 81)
         err = np.max(
-            np.abs(fourier_transform_values(b, s) - generator_hat_closed_form(s))
+            np.abs(fourier_transform_values(*generator_kernel(), s) - generator_hat_closed_form(s))
         )
         assert err <= 1e-8, err
 

@@ -62,7 +62,7 @@ def test_missing_config_is_usage_error(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("override", ["k_values=[2.5]", "trials=abc"])
+@pytest.mark.parametrize("override", ["k_values=[2.5]", "trials=abc", "k_values=[]"])
 def test_non_integer_config_is_bad_config(tmp_path, capsys, override):
     # a fractional k would hang verify-flow inside the ODE solver
     out = str(tmp_path / "never.json")

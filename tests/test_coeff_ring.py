@@ -18,7 +18,7 @@ from foliation_lab.coeff_ring import (
     GaussAtom,
     GaussPolyFn,
     GridFn,
-    GridMismatchError,
+    GridSpec,
     RepresentationMismatchError,
     _bump,
     _bump_series,
@@ -247,7 +247,7 @@ def test_evaluator_matches_atom_loop_bitwise(name):
             got, want = f(t), _values_loop(f, t)
             assert np.shape(got) == np.shape(want)
             assert _hex(got) == _hex(want)
-        assert f.sample(lo, (hi - lo) / 400, 401, support_tol=np.inf).samples.tolist() == (
+        assert f.sample(GridSpec(lo, (hi - lo) / 400, 401)).samples.tolist() == (
             _values_loop(f, lo + (hi - lo) / 400 * np.arange(401)).tolist()
         )
         assert f.sup_norm().hex() == _sup_norm_loop(f).hex()
@@ -409,22 +409,33 @@ def test_gauss_atom_requires_positive_variance():
 
 
 def _sampled_gaussian(step=0.01, radius=12.0):
-    n = int(round(2 * radius / step)) + 1
-    return GridFn.from_function(lambda t: np.exp(-(t**2) / 2), -radius, step, n)
+    grid = GridSpec(-radius, step, int(round(2 * radius / step)) + 1)
+    return GridFn(grid, np.exp(-(grid.points**2) / 2))
 
 
 def test_grid_convolution_matches_exact():
     g = _sampled_gaussian()
     h = g.convolve(g)
     exact = GaussPolyFn.gaussian().convolve(GaussPolyFn.gaussian())
-    want = exact(h.t_start + h.t_step * np.arange(h.count))
+    want = exact(h.grid.points)
     assert np.max(np.abs(h.samples - want)) <= 1e-6
+
+
+def test_grid_convolution_on_offset_axes_matches_exact(rng):
+    # axes whose starts differ by 0.6 of a step: the product's axis starts at
+    # the sum of the starts, and its samples are the exact product there
+    f, g = random_gauss_poly(rng), random_gauss_poly(rng)
+    a, b = GridSpec(-14.0, 0.05, 561), GridSpec(-14.03, 0.05, 561)
+    h = f.sample(a).convolve(g.sample(b))
+    assert h.grid == GridSpec(-28.03, 0.05, 1121)
+    want = f.convolve(g)(h.grid.points)
+    assert np.max(np.abs(h.samples - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
 
 
 def test_grid_convolution_methods_agree():
     g = _sampled_gaussian(step=0.05, radius=8.0)
     a = g.convolve(g)
-    b = np.convolve(g.samples, g.samples) * g.t_step
+    b = np.convolve(g.samples, g.samples) * g.grid.step
     assert np.max(np.abs(a.samples - b)) <= 1e-12
 
 
@@ -502,39 +513,35 @@ def test_grid_convolution_associative_and_commutative(rng):
     fns = []
     for _ in range(3):
         f = random_gauss_poly(rng)
-        fns.append(f.sample(-14.0, 0.01, 2801))
+        fns.append(f.sample(GridSpec(-14.0, 0.01, 2801)))
     f, g, h = fns
     fg = f.convolve(g)
     assert np.max(np.abs(fg.samples - g.convolve(f).samples)) <= 1e-8 * max(np.max(np.abs(fg.samples)), 1.0)
     lhs = fg.convolve(h)
     rhs = f.convolve(g.convolve(h))
-    assert lhs.t_start == rhs.t_start
+    assert lhs.grid == rhs.grid
     assert np.max(np.abs(lhs.samples - rhs.samples)) <= 1e-8 * max(np.max(np.abs(lhs.samples)), 1.0)
 
 
 def test_real_grid_functions_stay_real():
     g = _sampled_gaussian(step=0.05, radius=8.0)
-    sampled = GaussPolyFn.gaussian(mean=0.5).sample(-8.0, 0.05, 321)
+    sampled = GaussPolyFn.gaussian(mean=0.5).sample(g.grid)
     real = [g, sampled, g.convolve(sampled)]
     assert all(h.samples.dtype == np.float64 for h in real)
-    cplx = GridFn(-8.0, 0.05, g.samples * 1j)
+    cplx = GridFn(g.grid, g.samples * 1j)
     assert g.convolve(cplx).samples.dtype == cplx.convolve(g).samples.dtype == np.complex128
 
 
 def test_grid_zero_convolution():
     g = _sampled_gaussian(step=0.05, radius=8.0)
-    z = GridFn(-8.0, 0.05, np.zeros(321))
+    z = GridFn(g.grid, np.zeros(321))
     assert np.max(np.abs(g.convolve(z).samples)) == 0.0
 
 
 def test_grid_mismatch_errors():
-    a = GridFn(-1.0, 0.1, np.zeros(21))
-    b = GridFn(-1.0, 0.2, np.zeros(11))
-    with pytest.raises(GridMismatchError):
-        a.convolve(b)
-    c = GridFn(-1.03, 0.1, np.zeros(21))  # offset not a multiple of the step
-    with pytest.raises(GridMismatchError):
-        a.convolve(c)
+    a = GridFn((-1.0, 0.1, 21), np.zeros(21))
+    with pytest.raises(ValueError, match="does not match the grid"):
+        GridFn((-1.0, 0.1, 21), np.zeros(20))
     with pytest.raises(RepresentationMismatchError):
         a.convolve(GaussPolyFn.gaussian())
     with pytest.raises(RepresentationMismatchError):
@@ -544,8 +551,8 @@ def test_grid_mismatch_errors():
 
 
 def test_grid_support_invariant_enforced():
-    with pytest.raises(ValueError):
-        GridFn.from_function(lambda t: np.exp(-(t**2) / 2), -2.0, 0.1, 41)
+    with pytest.raises(ValueError, match="does not vanish on the grid boundary"):
+        _sampled_gaussian(step=0.1, radius=2.0)
 
 
 def test_norms_and_examples():

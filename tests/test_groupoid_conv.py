@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 
 from conftest import make_kernel, mollifier, plateau
-from foliation_lab.coeff_ring import _spline_coeffs
+from foliation_lab.coeff_ring import GaussPolyFn, GridSpec, _spline_coeffs
 from foliation_lab.flow import COMPLETE_RESCALED, FlowDomainError, FlowModel, flow_eval_many
 from foliation_lab.groupoid_conv import (
     DERIVED_SUPPORT_TOL,
-    GridSpec,
     GroupoidKernel,
     adjoint,
     convolve,
@@ -441,6 +440,22 @@ def test_grid_and_flow_mismatch_errors():
     )
     with pytest.raises(ValueError):
         convolve(f, h)
+
+
+def test_step_mismatch_raises_in_both_convolutions():
+    # one axis rule, GridSpec.convolved, behind the sampled ring and the
+    # groupoid: steps that differ by more than 1e-12 relative are refused
+    with pytest.raises(ValueError, match="step mismatch"):
+        GridSpec(-1.0, 0.1, 21).convolved(GridSpec(-1.0, 0.1 * (1 + 2e-12), 21))
+    a = GaussPolyFn.gaussian().sample(GridSpec.centered(8.0, 0.05))
+    b = GaussPolyFn.gaussian().sample(GridSpec.centered(8.0, 0.1))
+    with pytest.raises(ValueError, match="step mismatch"):
+        a.convolve(b)
+    fn = lambda X, T: mollifier(X, 0.3) * mollifier(T, 0.4)
+    f = make_kernel(FlowModel(2), fn)
+    g = make_kernel(FlowModel(2), fn, t_step=0.025)
+    with pytest.raises(ValueError, match="step mismatch"):
+        convolve(f, g)
 
 
 def test_boundary_support_enforced():

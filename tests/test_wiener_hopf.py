@@ -4,7 +4,7 @@ and the warp non-preservation demonstration."""
 import numpy as np
 import pytest
 
-from foliation_lab.coeff_ring import GridFn, _bump
+from foliation_lab.coeff_ring import GridSpec, _bump
 from foliation_lab.flow import COMPLETE_RESCALED, MONOMIAL, FlowModel
 from foliation_lab.wiener_hopf import (
     Diffeomorphism,
@@ -36,16 +36,15 @@ from foliation_lab.wiener_hopf import (
 
 
 def test_generator_transform_against_closed_form():
-    b = generator_kernel()
     s = np.linspace(-4.0, 4.0, 81)
-    got = fourier_transform_values(b, s)
+    got = fourier_transform_values(*generator_kernel(), s)
     np.testing.assert_allclose(got, generator_hat_closed_form(s), atol=1e-8)
 
 
 def test_transform_of_even_real_function_is_real():
-    g = GridFn.from_function(lambda t: np.exp(-(t**2)), -10.0, 0.01, 2001)
+    grid = GridSpec(-10.0, 0.01, 2001)
     s = np.linspace(-2.0, 2.0, 41)
-    vals = fourier_transform_values(g, s)
+    vals = fourier_transform_values(grid, np.exp(-(grid.points**2)), s)
     assert np.max(np.abs(vals.imag)) <= 1e-12
     # and matches the Gaussian closed form
     np.testing.assert_allclose(
@@ -54,17 +53,16 @@ def test_transform_of_even_real_function_is_real():
 
 
 def test_transform_of_zero():
-    z = GridFn(-1.0, 0.1, np.zeros(21))
-    assert np.max(np.abs(fourier_transform_values(z, np.linspace(-1, 1, 11)))) == 0.0
+    vals = fourier_transform_values(GridSpec(-1.0, 0.1, 21), np.zeros(21), np.linspace(-1, 1, 11))
+    assert np.max(np.abs(vals)) == 0.0
 
 
-def _direct_transform(f, s, corrected):
+def _direct_transform(grid, y, s, corrected):
     """Oracle: the dense trapezoid sum, one exponential per (s, t_j) pair,
     plus, when ``corrected``, the h^2/12 endpoint correction from one-sided
     differences."""
-    y = f.samples
-    h = f.t_step
-    t = f.t_start + h * np.arange(y.size)
+    start, h, _ = grid
+    t = start + h * np.arange(y.size)
     s = np.atleast_1d(np.asarray(s, dtype=float))
     w = np.ones(y.size)
     w[0] = w[-1] = 0.5
@@ -78,8 +76,10 @@ def _direct_transform(f, s, corrected):
     return vals
 
 
-def _bumpy(t):
-    return np.exp(-((t - 0.4) ** 2)) * (np.cos(3.0 * t) + 0.5j * np.sin(t))
+def _bumpy(start, step, count):
+    grid = GridSpec(start, step, count)
+    t = grid.points
+    return grid, np.exp(-((t - 0.4) ** 2)) * (np.cos(3.0 * t) + 0.5j * np.sin(t))
 
 
 @pytest.mark.parametrize(
@@ -88,25 +88,26 @@ def _bumpy(t):
         # the index suite's kernel and points
         (generator_kernel(), np.linspace(-4.0, 4.0, 81), True),
         # a prime sample count, so the last block of the split is partial
-        (GridFn.from_function(_bumpy, -10.0, 0.01, 2003), np.linspace(-3.0, 3.0, 37), True),
-        # a negative t_start that is not a multiple of the step
-        (GridFn.from_function(_bumpy, -7.3, 0.013, 1201), np.linspace(-5.0, 2.0, 29), True),
-        (GridFn.from_function(_bumpy, -10.0, 0.01, 2003), 0.37, True),
-        (GridFn.from_function(_bumpy, -10.0, 0.01, 2003), np.array([]), True),
+        (_bumpy(-10.0, 0.01, 2003), np.linspace(-3.0, 3.0, 37), True),
+        # a negative start that is not a multiple of the step
+        (_bumpy(-7.3, 0.013, 1201), np.linspace(-5.0, 2.0, 29), True),
+        (_bumpy(-10.0, 0.01, 2003), 0.37, True),
+        (_bumpy(-10.0, 0.01, 2003), np.array([]), True),
         # n = 3, the smallest grid with the endpoint correction
-        (GridFn(-0.5, 0.5, [1.0, 2.0 - 1.0j, 0.5], support_tol=np.inf), np.linspace(-2.0, 2.0, 9), True),
+        ((GridSpec(-0.5, 0.5, 3), np.array([1.0, 2.0 - 1.0j, 0.5])), np.linspace(-2.0, 2.0, 9), True),
         (generator_kernel(t_radius=20.0, t_step=0.01), np.linspace(-4.0, 4.0, 81), True),
         # two samples have no one-sided second-order differences: no correction
-        (GridFn(-0.5, 0.5, [1.0, 2.0 - 1.0j], support_tol=np.inf), np.linspace(-2.0, 2.0, 9), False),
+        ((GridSpec(-0.5, 0.5, 2), np.array([1.0, 2.0 - 1.0j])), np.linspace(-2.0, 2.0, 9), False),
     ],
 )
 def test_factored_quadrature_matches_direct_sum(f, s, corrected):
-    got = fourier_transform_values(f, s)
-    want = _direct_transform(f, s, corrected)
+    grid, y = f  # a sampled function, as (grid, samples)
+    got = fourier_transform_values(grid, y, s)
+    want = _direct_transform(grid, y, s, corrected)
     assert got.shape == want.shape == np.atleast_1d(s).shape
-    w = np.ones(f.samples.size)
+    w = np.ones(y.size)
     w[0] = w[-1] = 0.5
-    scale = float(np.sum(np.abs(w * f.samples))) * f.t_step
+    scale = float(np.sum(np.abs(w * y))) * grid.step
     assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
 
@@ -190,9 +191,9 @@ def test_generator_loop_winds_once():
 
 def test_generator_loop_from_quadrature_values():
     # same result when the loop values come from the sampled transform
-    b = generator_kernel(t_radius=50.0, t_step=2e-3)
+    grid, b = generator_kernel(t_radius=50.0, t_step=2e-3)
     s = SymbolLoop.tangent_grid(1024)
-    vals = 1.0 - fourier_transform_values(b, -s)
+    vals = 1.0 - fourier_transform_values(grid, b, -s)
     loop = SymbolLoop(np.concatenate([[1.0], vals, [1.0]]), kind="line")
     assert winding_number(loop) == 1
 
