@@ -44,6 +44,10 @@ DEFAULT_CONFIG = {
     "trials": 10,
     "seed": 12345,
 }
+INVOLUTION_X_GRID = GridSpec.centered(0.42, 0.0006)
+# run-size budgets; README ("Command line") gives the measured runs behind them
+MAX_KERNEL_SAMPLES = 2_000_000
+MAX_TRIALS = 1_000
 
 
 def load_config(path=None, overrides=()):
@@ -89,11 +93,15 @@ def _validate_config(cfg):
             raise ValueError(f"grid.{key} must be a finite positive number")
     if not all(map(_is_positive_real, cfg["tolerances"].values())):
         raise ValueError("tolerances must map names to finite positive numbers")
-    if not _is_int(cfg["trials"], 1):
-        raise ValueError("trials must be a positive integer")
+    if not _is_int(cfg["trials"], 1) or cfg["trials"] > MAX_TRIALS:
+        raise ValueError(f"trials must be a positive integer, at most {MAX_TRIALS:,}")
     k_values = cfg["k_values"]
     if not isinstance(k_values, list) or not k_values or not all(_is_int(k, 1) for k in k_values):
         raise ValueError("k_values must be a non-empty list of positive integers")
+    # the widest x-window (k = 1 widens it, and adjoint_involution's is fixed) by the t-window
+    n_x = max(INVOLUTION_X_GRID.count, *(2 * _x_radius(cfg, k) / grid["x_step"] + 1 for k in k_values))
+    if n_x * (2 * grid["t_radius"] / grid["t_step"] + 1) > MAX_KERNEL_SAMPLES:
+        raise ValueError(f"grid: kernels over {MAX_KERNEL_SAMPLES:,} samples; coarsen grid.x_step or grid.t_step")
     if not _is_int(cfg["max_jet_order"], 0):
         raise ValueError("max_jet_order must be a non-negative integer")
     if not _is_int(cfg["seed"], 0):
@@ -469,9 +477,8 @@ def suite_verify_groupoid(cfg):
     @_check("adjoint_involution", ADJOINT, 1e-8)
     def adjoint_involution():
         rng = _check_rng(cfg, "groupoid_involution")
-        xg = GridSpec.centered(0.42, 0.0006)
         tg = GridSpec.centered(cfg["grid"]["t_radius"], cfg["grid"]["t_step"])
-        f = _random_kernel(FlowModel(3), xg, tg, rng)
+        f = _random_kernel(FlowModel(3), INVOLUTION_X_GRID, tg, rng)
         yield _gap(f, adjoint(adjoint(f)))
 
     @_check("module_action_associativity", "base-function module actions", qtol)

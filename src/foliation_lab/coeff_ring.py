@@ -10,9 +10,9 @@ jet coefficient is one.
 ``GridSpec`` is the one sampled axis, (start, step, count), of both
 ``GridFn`` and the groupoid kernels.  ``GridSpec.convolved`` is the axis of
 a discrete convolution: the steps must agree, and it starts at the sum of
-the starts, whatever the offsets.  ``_edge_tol`` is the one window-edge
-rule: a sampled function must fall below ``support_tol * max(1, peak)`` on
-the boundary of its window.
+the starts, whatever the offsets.  ``_frozen_samples`` is the one
+construction rule of a sampled function: an owned, read-only copy, below
+``support_tol * max(1, peak)`` on the boundary of its window.
 
 ``GridFn`` is a function sampled on a ``GridSpec``, zero outside the
 sampled window.  Its one operation is convolution, discrete quadrature
@@ -32,7 +32,7 @@ of each ordered atom pair is memoised for the last ``ATOM_PAIR_MEMO_SIZE``
 (2,048) distinct pairs, about one jets-exact pass; the key is the two atoms
 and the type of every coefficient, so float and complex coefficients of
 equal value never share an entry.  Every polynomial is evaluated by the one
-Horner pass, ``horner``.
+in-place Horner pass, ``horner``.
 
 One evaluator, ``GaussPolyFn._values``, serves ``__call__``, ``sample`` and
 ``sup_norm``.  It sums the atoms from zero in atom order, each through
@@ -66,20 +66,12 @@ class RepresentationMismatchError(TypeError):
     """Raised when an operation mixes GridFn and GaussPolyFn operands."""
 
 
-def horner(coeffs, t, out=None):
-    """The polynomial with ascending coefficients ``coeffs`` at t, by Horner's
-    rule: the operations of ``numpy.polynomial.polynomial.polyval``, in its
-    order, so the values agree bit for bit.
-
-    Given ``out``, an array of the result's shape and dtype, the pass runs in
-    place there.  It is seeded with ``coeffs[-1]`` itself rather than
-    ``coeffs[-1] + t * 0``, which can differ only in the sign of a zero.
-    """
-    if out is None:
-        out = coeffs[-1] + t * 0
-        for c in coeffs[-2::-1]:
-            out = c + out * t
-        return out
+def horner(coeffs, t, out):
+    """The polynomial with ascending coefficients ``coeffs`` at t, written in
+    place into ``out``, of the result's shape and dtype, by Horner's rule in
+    the operations and order of ``numpy.polynomial.polynomial.polyval``: its
+    values bit for bit, up to the sign of a zero, as the pass starts from
+    ``coeffs[-1]`` rather than ``coeffs[-1] + t * 0``."""
     out[...] = coeffs[-1]
     for c in coeffs[-2::-1]:
         out *= t
@@ -255,11 +247,16 @@ class GridSpec(tuple):
         return GridSpec(self.start + other.start, self.step, self.count + other.count - 1)
 
 
-def _edge_tol(samples, support_tol):
-    """The window-edge rule of every sampled function: the mass threshold
-    ``support_tol * max(1, peak)``, returned once the samples on the boundary
-    of the window (the first and last entry along each axis) are checked to
-    lie within it."""
+def _frozen_samples(samples, grids, support_tol):
+    """The construction rule of every sampled function on the axes ``grids``:
+    an owned, read-only float or complex copy of ``samples`` in their shape,
+    returned with the mass threshold ``support_tol * max(1, peak)``, which no
+    sample on the window's boundary (first and last along each axis) exceeds."""
+    samples = np.asarray(samples)
+    samples = np.array(samples, dtype=np.result_type(samples, float))  # own the data
+    shape = tuple(grid.count for grid in grids)
+    if samples.shape != shape:
+        raise ValueError(f"samples shape {samples.shape} does not match the grid shape {shape}")
     tol = support_tol * max(1.0, float(np.max(np.abs(samples))))
     edge = max(
         float(np.max(np.abs(samples.take([0, -1], axis=a)))) for a in range(samples.ndim)
@@ -269,7 +266,8 @@ def _edge_tol(samples, support_tol):
             f"kernel does not vanish on the grid boundary (max {edge:.3e}); "
             "enlarge the window"
         )
-    return tol
+    samples.setflags(write=False)  # sampled functions are immutable after construction
+    return samples, tol
 
 
 class GridFn:
@@ -278,15 +276,8 @@ class GridFn:
     __slots__ = ("grid", "samples")
 
     def __init__(self, grid, samples):
-        grid = GridSpec(*grid)
-        samples = np.asarray(samples)
-        samples = np.array(samples, dtype=np.result_type(samples, float))  # own the data
-        if samples.shape != (grid.count,):
-            raise ValueError(f"samples shape {samples.shape} does not match the grid {grid}")
-        _edge_tol(samples, DEFAULT_SUPPORT_TOL)
-        samples.setflags(write=False)  # values are immutable after construction
-        self.grid = grid
-        self.samples = samples
+        self.grid = GridSpec(*grid)
+        self.samples = _frozen_samples(samples, (self.grid,), DEFAULT_SUPPORT_TOL)[0]
 
     def convolve(self, other):
         """(f*g)(t) = integral f(t-s) g(s) ds by discrete quadrature, on the

@@ -22,7 +22,8 @@ in (phi_t(x))^n) in one cached table per order, the multiplicative cocycles
 x = 0 -- note the x = 0 value makes beta discontinuous when k = 1, where
 phi_t' = e^t everywhere; the case split is deliberate, not smoothed), and
 residual checks for the composition and cocycle identities satisfied by the
-phi_m^n.
+phi_m^n.  A scalar value is its ``*_many`` grid evaluator at one point, NaN
+exactly where ``in_domain`` fails, where it raises FlowDomainError.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial, isnan, prod
 
 import numpy as np
 
@@ -84,7 +85,7 @@ class FlowModel:
         t = self.sign * np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
         if self.variant == COMPLETE_RESCALED or self.k == 1:
-            return np.broadcast_to(True, np.broadcast(t, x).shape).copy()
+            return np.ones(np.broadcast(t, x).shape, dtype=bool)
         return (self.k - 1) * t * x ** (self.k - 1) < 1.0
 
 
@@ -94,8 +95,7 @@ def _monomial_power(model, t, x, a):
     k = 1 limit is e^(a t).
 
     Delta = phi_t(x)/x is a = 1, phi_t'(x) is a = k and phi_t(x) = x Delta.
-    t broadcasts against x; scalar arguments keep scalar arithmetic, whose
-    rounding differs from numpy's vectorized power.
+    t broadcasts against x.
     """
     t = model.sign * t
     k = model.k
@@ -171,7 +171,6 @@ def _rescaled_flow(model, t, x):
 def _rescaled_derivative(model, t, x):
     """d phi_t/dx = v(phi_t(x)) / v(x) of the rescaled field; at the fixed
     point x = 0 it is e^t for k = 1 and 1 for k >= 2."""
-    x = np.asarray(x, dtype=float)
     with np.errstate(invalid="ignore", divide="ignore"):
         d = model.vector_field(_rescaled_flow(model, t, x)) / model.vector_field(x)
     return np.where(x == 0.0, _monomial_power(model, t, 0.0, model.k), d)
@@ -188,29 +187,6 @@ def solve_ivp(*args, **kwargs):
     return scipy_solve_ivp(*args, **kwargs)
 
 
-def _require_domain(model, t, x):
-    if not np.all(model.in_domain(t, x)):
-        raise FlowDomainError(
-            f"(x={x}, t={t}) outside the domain of the order-{model.k} monomial flow"
-        )
-
-
-def flow_eval(model, t, x):
-    """phi_t(x) for a scalar pair; raises FlowDomainError outside the domain."""
-    _require_domain(model, t, x)
-    if model.variant == MONOMIAL:
-        return float(x * _monomial_power(model, t, x, 1))
-    return float(_rescaled_flow(model, t, x))
-
-
-def flow_derivative(model, t, x):
-    """Spatial derivative d phi_t / dx at (t, x)."""
-    _require_domain(model, t, x)
-    if model.variant == MONOMIAL:
-        return float(_monomial_power(model, t, x, model.k))
-    return float(_rescaled_derivative(model, t, x))
-
-
 def flow_eval_many(model, ts, xs):
     """phi_t(x) on the grid ts x xs; NaN exactly where ``in_domain`` fails."""
     ts = np.asarray(ts, dtype=float)
@@ -221,11 +197,32 @@ def flow_eval_many(model, ts, xs):
 
 
 def flow_derivative_many(model, ts, xs):
+    """d phi_t / dx on the grid ts x xs; NaN exactly where ``in_domain`` fails."""
     ts = np.asarray(ts, dtype=float)
     xs = np.asarray(xs, dtype=float)
     if model.variant == MONOMIAL:
         return _monomial_power(model, ts[:, None], xs, model.k)
     return _rescaled_derivative(model, ts[:, None], xs)
+
+
+def _at_point(many, model, t, x):
+    """The grid evaluator ``many`` at (t, x); FlowDomainError where it is NaN."""
+    value = float(many(model, [t], [x])[0, 0])
+    if isnan(value):
+        raise FlowDomainError(
+            f"(x={x}, t={t}) outside the domain of the order-{model.k} monomial flow"
+        )
+    return value
+
+
+def flow_eval(model, t, x):
+    """phi_t(x) for a scalar pair; raises FlowDomainError outside the domain."""
+    return _at_point(flow_eval_many, model, t, x)
+
+
+def flow_derivative(model, t, x):
+    """Spatial derivative d phi_t / dx at (t, x)."""
+    return _at_point(flow_derivative_many, model, t, x)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +265,7 @@ class FlowCoeff:
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         if self.kind == "poly":
-            return horner(self.poly, t)
+            return horner(self.poly, t, np.empty(t.shape))
         return np.exp(self.rate * t)
 
     def is_zero(self):
@@ -290,17 +287,15 @@ class FlowCoeff:
 
 
 def cocycle_delta(model, x, t):
-    """Delta(x, t) = phi_t(x)/x for x != 0, extended smoothly through x = 0.
+    """Delta(x, t) = phi_t(x)/x for x != 0, extended smoothly through x = 0;
+    ``cocycle_delta_many`` at one point, so FlowDomainError off the domain.
 
     For the monomial flow the extension is (1 - (k-1) t x^(k-1))^(-1/(k-1))
     (e^t when k = 1); for the rescaled field it is
     (h(x)/h(phi_t(x)) * phi_t'(x))^(1/k) with h the rescaling factor, which
     at x = 0 takes the monomial value since h(0) = 1.
     """
-    _require_domain(model, t, x)
-    if model.variant == MONOMIAL or x == 0.0:
-        return float(_monomial_power(model, t, x, 1))
-    return flow_eval(model, t, x) / x
+    return _at_point(cocycle_delta_many, model, t, x)
 
 
 def cocycle_delta_many(model, ts, xs):

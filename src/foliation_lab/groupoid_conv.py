@@ -22,15 +22,14 @@ the flow, NaN exactly off the domain, without checking it again.  The
 convolution locates every warped node once per product; for each quadrature
 node it evaluates the spline only on the contiguous rows between g's first
 and last nonzero row of that column.
-A product's t-axis is ``GridSpec.convolved`` of its operands' axes, the rule
-``GridFn`` products follow too; the x-window is unchanged.  The window-edge
-check of a kernel is ``coeff_ring._edge_tol``, shared with ``GridFn``.  The
-adjoint needs f at (phi_tau(x), -tau) only, so for each output time it
-evaluates the x-interpolant of the one mirrored column, straight from the
-spline's piecewise coefficients.  Both build and
-evaluate the spline on f's window of t-columns between its first and last
-nonzero one only: a zero column has a zero spline and adds exact zeros, so
-every result is the same bit for bit as with the full spline.
+A product's t-axis is ``GridSpec.convolved`` of its operands' axes and its
+x-window is unchanged; kernels, like ``GridFn``, are built by
+``coeff_ring._frozen_samples``.  The adjoint needs f at (phi_tau(x), -tau)
+only, so for each output time it evaluates the x-interpolant of the one
+mirrored column, straight from the spline's piecewise coefficients.  Both
+build and evaluate the spline on f's window of t-columns between its first
+and last nonzero one only: a zero column has a zero spline and adds exact
+zeros, so every result is the same bit for bit as with the full spline.
 
 Kernels keep the dtype of their samples: real samples stay float64 through
 every operation, and a result is complex only when an input is.
@@ -41,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from .coeff_ring import (
-    DEFAULT_SUPPORT_TOL, GridSpec, _edge_tol, _nonzero_span, _spline_coeffs, _spline_horner,
+    DEFAULT_SUPPORT_TOL, GridSpec, _frozen_samples, _nonzero_span, _spline_coeffs, _spline_horner,
     _spline_locate,
 )
 from .flow import FlowDomainError, FlowModel, cocycle_delta_many, flow_eval_many
@@ -64,14 +63,7 @@ class GroupoidKernel:
             raise ValueError(f"support_tol must lie in (0, {DERIVED_SUPPORT_TOL:g}]")
         x_grid = GridSpec(*x_grid)
         t_grid = GridSpec(*t_grid)
-        samples = np.asarray(samples)
-        samples = np.array(samples, dtype=np.result_type(samples, float))  # own the data
-        if samples.shape != (x_grid.count, t_grid.count):
-            raise ValueError(
-                f"samples shape {samples.shape} does not match grids "
-                f"({x_grid.count}, {t_grid.count})"
-            )
-        tol = _edge_tol(samples, support_tol)
+        samples, tol = _frozen_samples(samples, (x_grid, t_grid), support_tol)
         # every sample carrying mass must be a point of the groupoid, i.e.
         # admissible for the flow; the operations rely on it
         mass = np.abs(samples) > tol
@@ -84,7 +76,6 @@ class GroupoidKernel:
                     f"kernel carries mass at (x={x_grid.points[i]:g}, "
                     f"t={t_grid.points[j]:g}), outside the flow domain"
                 )
-        samples.setflags(write=False)  # kernels are immutable after construction
         self.flow = flow
         self.x_grid = x_grid
         self.t_grid = t_grid

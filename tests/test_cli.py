@@ -62,14 +62,31 @@ def test_missing_config_is_usage_error(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("override", ["k_values=[2.5]", "trials=abc", "k_values=[]"])
+@pytest.mark.parametrize(
+    "override",
+    [
+        "k_values=[2.5]",
+        "trials=abc",
+        "k_values=[]",
+        # over the run-size budgets, checked before any grid is allocated:
+        # over only through the k = 1 widening of the x-window (k_values is
+        # [1, 2, 3]), only through adjoint_involution's fixed x-grid, far
+        # over (an x-grid count that overflows to inf), and one trial over
+        "grid.x_step=4e-5",
+        "grid.t_step=5e-4",
+        "grid.x_step=5e-324",
+        "trials=1001",
+    ],
+)
 def test_non_integer_config_is_bad_config(tmp_path, capsys, override):
     # a fractional k would hang verify-flow inside the ODE solver
     out = str(tmp_path / "never.json")
     code = main(["verify-flow", "--override", override, "--out", out])
     assert code == 2
     assert not os.path.exists(out)
-    assert "error: bad config" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: bad config" in err
+    assert override.split("=")[0] in err
 
 
 @pytest.mark.parametrize(

@@ -157,13 +157,10 @@ def test_horner_matches_polyval_bitwise(rng, cplx, degree):
     ts = rng.uniform(-15.0, 15.0, 101)
     for t in (ts, ts.reshape(-1, 1), ts[0], np.asarray(ts[1])):
         for c in (coeffs, tuple(coeffs.tolist())):
-            got, want = horner(c, t), polyval(t, coeffs)
-            assert np.shape(got) == np.shape(want)
-            assert np.array_equal(got, want)
-            if np.ndim(t):
-                out = np.empty(np.shape(t), coeffs.dtype)
-                assert horner(c, t, out=out) is out
-                assert np.array_equal(out, want)
+            out, want = np.empty(np.shape(t), coeffs.dtype), polyval(t, coeffs)
+            assert horner(c, t, out) is out
+            assert np.shape(out) == np.shape(want)
+            assert np.array_equal(out, want)
 
 
 def _horner_loop(coeffs, t):

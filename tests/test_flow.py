@@ -25,6 +25,7 @@ from foliation_lab.flow import (
     cocycle_delta,
     cocycle_delta_many,
     flow_derivative,
+    flow_derivative_many,
     flow_eval,
     flow_eval_many,
     taylor_flow_power,
@@ -197,6 +198,16 @@ def test_flow_domain_error():
         flow_derivative(FlowModel(3), 2.0, 1.0)
 
 
+def _boundary_times(k):
+    """Times of both signs that straddle the domain boundary
+    (k-1) t x^(k-1) = 1 at x = 0.5, 0.75 and 1.25: the computed edge times
+    and their neighbours.  They hit it exactly for k = 2, 3, 5 (k = 2, t = 2,
+    x = 0.5, say)."""
+    edge = np.array([1.0 / (max(k - 1, 1) * x ** max(k - 1, 1)) for x in (0.5, 0.75, 1.25)])
+    ts = np.concatenate([edge, np.nextafter(edge, 0), np.nextafter(edge, 9)])
+    return np.concatenate([ts, -ts])
+
+
 @pytest.mark.parametrize("k", range(1, 7))
 @pytest.mark.parametrize("variant", [MONOMIAL, COMPLETE_RESCALED])
 @pytest.mark.parametrize("time_reversed", [False, True])
@@ -204,15 +215,39 @@ def test_grid_evaluation_is_nan_exactly_off_the_domain(k, variant, time_reversed
     # groupoid operations rely on this instead of checking the domain again
     model = FlowModel(k, variant, time_reversed)
     xs = np.arange(-12, 13) / 8.0
-    # dyadic times hit (k-1) t x^(k-1) = 1 exactly for k = 2, 3, 5; the
-    # computed edge times and their neighbours straddle it for every k
-    edge = np.array([1.0 / (max(k - 1, 1) * x ** max(k - 1, 1)) for x in (0.5, 0.75, 1.25)])
-    ts = np.concatenate([np.arange(-16, 17) / 8.0, edge, np.nextafter(edge, 0), np.nextafter(edge, 9)])
-    ts = np.concatenate([ts, -ts])
+    ts = np.concatenate([np.arange(-16, 17) / 8.0, _boundary_times(k)])
     off = ~model.in_domain(ts[:, None], xs)
     assert np.any(off) == (variant == MONOMIAL and k > 1)
-    assert np.array_equal(np.isnan(flow_eval_many(model, ts, xs)), off)
-    assert np.array_equal(np.isnan(cocycle_delta_many(model, ts, xs)), off)
+    for many in (flow_eval_many, flow_derivative_many, cocycle_delta_many):
+        assert np.array_equal(np.isnan(many(model, ts, xs)), off)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("variant", [MONOMIAL, COMPLETE_RESCALED])
+@pytest.mark.parametrize("time_reversed", [False, True])
+def test_scalar_values_raise_exactly_off_the_domain(k, variant, time_reversed):
+    # each scalar value is its grid evaluator at the one point: it raises
+    # FlowDomainError exactly where in_domain fails, so never for finite
+    # input to the rescaled field or for k = 1, and returns the grid value
+    # everywhere else
+    model = FlowModel(k, variant, time_reversed)
+    xs = np.array([-1.25, -0.5, 0.0, 0.5, 0.75, 1.25])
+    ts = np.concatenate([[-2.0, 2.0], _boundary_times(k)])
+    off = ~model.in_domain(ts[:, None], xs)
+    assert np.any(off) == (variant == MONOMIAL and k > 1)
+    cases = (
+        (flow_eval_many, flow_eval),
+        (flow_derivative_many, flow_derivative),
+        (cocycle_delta_many, lambda model, t, x: cocycle_delta(model, x, t)),
+    )
+    for many, scalar in cases:
+        grid = many(model, ts, xs)
+        for (i, j), outside in np.ndenumerate(off):
+            if outside:
+                with pytest.raises(FlowDomainError):
+                    scalar(model, ts[i], xs[j])
+            else:
+                assert scalar(model, ts[i], xs[j]) == grid[i, j]
 
 
 def test_flow_derivative_closed_forms():
