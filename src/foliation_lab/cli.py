@@ -36,18 +36,12 @@ from .flow import FlowModel
 from .groupoid_conv import GroupoidKernel
 from .jet_algebra import Jet, commutativity_report, jet_mul, x_mult_left, x_mult_right
 
-DEFAULT_CONFIG = {
-    "k_values": [1, 2, 3],
-    "max_jet_order": 4,
-    "grid": {"x_step": 0.004, "t_step": 0.02, "x_radius": 0.65, "t_radius": 0.5},
-    "tolerances": {"quadrature": 1e-6, "winding_residual": 0.05},
-    "trials": 10,
-    "seed": 12345,
-}
+DEFAULT_CONFIG = {"k_values": [1, 2, 3], "grid": {"x_step": 0.004, "t_step": 0.02}, "seed": 12345}
+TRIALS = 10  # random draws per check; more evidence comes from more seeds
+JET_ORDER = 4  # verify-jets' truncation order (at least k), which names its records
 INVOLUTION_X_GRID = GridSpec.centered(0.42, 0.0006)
-# run-size budgets; README ("Command line") gives the measured runs behind them
+# run-size budget; README ("Command line") gives the measured runs behind it
 MAX_KERNEL_SAMPLES = 2_000_000
-MAX_TRIALS = 1_000
 
 
 def load_config(path=None, overrides=()):
@@ -88,22 +82,26 @@ def _merge(base, extra, prefix):
 
 def _validate_config(cfg):
     grid = cfg["grid"]
-    for key in ("x_step", "t_step", "x_radius", "t_radius"):
+    for key in ("x_step", "t_step"):
         if not _is_positive_real(grid[key]):
             raise ValueError(f"grid.{key} must be a finite positive number")
-    if not all(map(_is_positive_real, cfg["tolerances"].values())):
-        raise ValueError("tolerances must map names to finite positive numbers")
-    if not _is_int(cfg["trials"], 1) or cfg["trials"] > MAX_TRIALS:
-        raise ValueError(f"trials must be a positive integer, at most {MAX_TRIALS:,}")
     k_values = cfg["k_values"]
     if not isinstance(k_values, list) or not k_values or not all(_is_int(k, 1) for k in k_values):
         raise ValueError("k_values must be a non-empty list of positive integers")
-    # the widest x-window (k = 1 widens it, and adjoint_involution's is fixed) by the t-window
-    n_x = max(INVOLUTION_X_GRID.count, *(2 * _x_radius(cfg, k) / grid["x_step"] + 1 for k in k_values))
-    if n_x * (2 * grid["t_radius"] / grid["t_step"] + 1) > MAX_KERNEL_SAMPLES:
+    # the widest x-window (k = 1 widens it, and adjoint_involution's is fixed) by the t-window,
+    # each window counted as 2 r / h + 2, a bound on GridSpec.centered's 2 round(r / h) + 1
+    n_x = max(INVOLUTION_X_GRID.count, *(2 * _x_radius(k) / grid["x_step"] + 2 for k in k_values))
+    if n_x * (2 * T_RADIUS / grid["t_step"] + 2) > MAX_KERNEL_SAMPLES:
         raise ValueError(f"grid: kernels over {MAX_KERNEL_SAMPLES:,} samples; coarsen grid.x_step or grid.t_step")
-    if not _is_int(cfg["max_jet_order"], 0):
-        raise ValueError("max_jet_order must be a non-negative integer")
+    # each suite grid must build (two t points at least) and hold taylor_map's
+    # 2p + 5 point stencil at verify-groupoid's order p = 3
+    for k in k_values:
+        try:
+            n_x = _grids(cfg, k)[0].count
+        except ValueError:
+            n_x = 0
+        if n_x < 11:
+            raise ValueError("grid: a window under 11 x or 2 t points; refine grid.x_step or grid.t_step")
     if not _is_int(cfg["seed"], 0):
         raise ValueError("seed must be a non-negative integer")
 
@@ -185,17 +183,18 @@ def _identity(x):
     return x
 
 
-def _x_radius(cfg, k):
+# the kernel windows; the kernel families below vanish beyond |x| = 0.3
+X_RADIUS, T_RADIUS = 0.65, 0.5
+
+
+def _x_radius(k):
     # the exponential flow (k = 1) stretches supports by e^|t|; widen its window
-    base = cfg["grid"]["x_radius"]
-    return base + 0.3 if k == 1 else base
+    return X_RADIUS + 0.3 if k == 1 else X_RADIUS
 
 
 def _grids(cfg, k):
     g = cfg["grid"]
-    xg = GridSpec.centered(_x_radius(cfg, k), g["x_step"])
-    tg = GridSpec.centered(g["t_radius"], g["t_step"])
-    return xg, tg
+    return GridSpec.centered(_x_radius(k), g["x_step"]), GridSpec.centered(T_RADIUS, g["t_step"])
 
 
 def _random_kernel(model, xg, tg, rng):
@@ -213,12 +212,13 @@ def _jet_kernel(model, xg, tg, p, rng):
     """A kernel f = bump(x, 0.3) sum_(n<=p) x^n a_n(t) and its exact jet at
     x = 0, T(f)_n = sum_j b_j a_(n-j), b being the bump's Taylor series.
     Each a_n is one Gaussian atom: mean within 0.05 r of 0 and variance in
-    [0.002 w^2, 0.0035] r^2.  r = min(1, t_radius / 0.5) fits the atoms to
-    the window and never widens them with it; w = t_step / (0.04 r), held
-    within [1, 1.25], raises the narrowest atoms until the trapezoid rule
-    resolves their products, while the widest still vanish 7.6 standard
-    deviations inside the window edge.  Amplitude of size at least 0.5,
-    since the fit's error scales with the whole kernel."""
+    [0.002 w^2, 0.0035] r^2.  r = min(1, tg.end / 0.5) fits the atoms to the
+    window, which t-step rounding shrinks (to 0.48 at t_step 0.04), and never
+    widens them with it; w = t_step / (0.04 r), held within [1, 1.25], raises
+    the narrowest atoms until the trapezoid rule resolves their products,
+    while the widest still vanish 7.6 standard deviations inside the window
+    edge.  Amplitude of size at least 0.5, since the fit's error scales with
+    the whole kernel."""
     r = min(1.0, tg.end / 0.5)
     w = min(max(1.0, tg.step / (0.04 * r)), 1.25)
     a = []
@@ -295,7 +295,6 @@ def _blaschke_loop(rng, count):
 
 
 def suite_verify_coeff(cfg):
-    trials = cfg["trials"]
     exact = 1e-12
 
     @_check("gaussian_self_convolution_closed_form", RING, exact)
@@ -307,7 +306,7 @@ def suite_verify_coeff(cfg):
     @_check("convolution_commutativity", RING, exact)
     def commutativity():
         rng = _check_rng(cfg, "coeff_commutativity")
-        for _ in range(max(trials, 20)):
+        for _ in range(max(TRIALS, 20)):
             f = random_gauss_poly(rng)
             g = random_gauss_poly(rng)
             yield (f.convolve(g) - g.convolve(f)).sup_norm()
@@ -315,7 +314,7 @@ def suite_verify_coeff(cfg):
     @_check("convolution_associativity", RING, exact)
     def associativity():
         rng = _check_rng(cfg, "coeff_associativity")
-        for _ in range(trials):
+        for _ in range(TRIALS):
             f, g, h = (random_gauss_poly(rng) for _ in range(3))
             yield _ring_gap(f.convolve(g).convolve(h), f.convolve(g.convolve(h)))
 
@@ -337,7 +336,7 @@ def suite_verify_coeff(cfg):
     )
     def derivation():
         rng = _check_rng(cfg, "coeff_derivation")
-        for _ in range(trials):
+        for _ in range(TRIALS):
             f = random_gauss_poly(rng)
             g = random_gauss_poly(rng)
             rhs = f.mul_by_t().convolve(g) + f.convolve(g.mul_by_t())
@@ -350,7 +349,7 @@ def suite_verify_coeff(cfg):
     )
     def automorphism():
         rng = _check_rng(cfg, "coeff_automorphism")
-        for _ in range(trials):
+        for _ in range(TRIALS):
             f = random_gauss_poly(rng)
             g = random_gauss_poly(rng)
             c = float(rng.uniform(-1.0, 1.0))
@@ -400,7 +399,7 @@ def suite_verify_flow(cfg):
     )
     def composition_identity():
         for n, m in ((1, 1), (2, 5), (3, 6)):
-            yield flow.check_composition_identity(n, m, trials=cfg["trials"], seed=cfg["seed"])
+            yield flow.check_composition_identity(n, m, trials=TRIALS, seed=cfg["seed"])
 
     @_check("delta_cocycle_multiplicativity", "the flow-quotient one-cocycle", 1e-10)
     def delta_multiplicative():
@@ -455,7 +454,7 @@ def suite_verify_flow(cfg):
 
 
 def suite_verify_groupoid(cfg):
-    qtol = cfg["tolerances"]["quadrature"]
+    qtol = 1e-6  # quadrature
     k_values = cfg["k_values"]
     convolve, adjoint = groupoid_conv.convolve, groupoid_conv.adjoint
     left, right = groupoid_conv.module_mult_left, groupoid_conv.module_mult_right
@@ -477,7 +476,7 @@ def suite_verify_groupoid(cfg):
     @_check("adjoint_involution", ADJOINT, 1e-8)
     def adjoint_involution():
         rng = _check_rng(cfg, "groupoid_involution")
-        tg = GridSpec.centered(cfg["grid"]["t_radius"], cfg["grid"]["t_step"])
+        tg = GridSpec.centered(T_RADIUS, cfg["grid"]["t_step"])
         f = _random_kernel(FlowModel(3), INVOLUTION_X_GRID, tg, rng)
         yield _gap(f, adjoint(adjoint(f)))
 
@@ -500,7 +499,7 @@ def suite_verify_groupoid(cfg):
             rhs = right(groupoid_conv.scale_by_delta(f), _identity)
             yield float(np.max(np.abs(lhs.samples - rhs.samples)))
 
-    @_check("product_kernel_l1_norm", L1_NORMS, 1e-6)
+    @_check("product_kernel_l1_norm", L1_NORMS, qtol)
     def product_kernel_norm():
         for k in k_values:
             xg, tg = _grids(cfg, k)
@@ -526,10 +525,9 @@ def suite_verify_groupoid(cfg):
     )
     def taylor_homomorphism():
         rng = _check_rng(cfg, "groupoid_taylor_hom")
-        p = min(cfg["max_jet_order"], 3)
         for k in k_values:
             for _ in range(2):
-                yield _taylor_gap(FlowModel(k), *_grids(cfg, k), p, rng)
+                yield _taylor_gap(FlowModel(k), *_grids(cfg, k), 3, rng)
 
     return [
         associativity,
@@ -554,9 +552,7 @@ def suite_verify_jets(cfg):
         anchor = "commutativity dichotomy of the truncated quotients"
         records = []
         for k in k_values:
-            rows = commutativity_report(
-                k, max_order=max(k, cfg["max_jet_order"]), trials=cfg["trials"], seed=cfg["seed"]
-            )
+            rows = commutativity_report(k, max_order=max(k, JET_ORDER), trials=TRIALS, seed=cfg["seed"])
             for q, norm in rows:
                 name = f"commutator_norm_k{k}_order{q}"
                 if q <= k - 1:
@@ -586,14 +582,14 @@ def suite_verify_jets(cfg):
     def associativity():
         rng = _check_rng(cfg, "jet_associativity")
         for k in k_values:
-            for p in (2, min(4, cfg["max_jet_order"])):
+            for p in (2, JET_ORDER):
                 f, g, h = (random_jet(rng, k, p) for _ in range(3))
                 yield _ring_gap(jet_mul(jet_mul(f, g), h), jet_mul(f, jet_mul(g, h)))
 
     @_check("truncation_respects_product", "nested vanishing-order ideals", 1e-12)
     def truncation_compatibility():
         rng = _check_rng(cfg, "jet_truncation")
-        p = min(4, cfg["max_jet_order"])
+        p = JET_ORDER
         for k in k_values:
             f, g = (random_jet(rng, k, p) for _ in range(2))
             full = jet_mul(f, g)
@@ -621,7 +617,7 @@ def suite_verify_jets(cfg):
 
 
 def suite_index(cfg):
-    wtol = cfg["tolerances"]["winding_residual"]
+    wtol = wiener_hopf.WINDING_RESIDUAL
 
     @_check(
         "generator_transform_quadrature", "closed form of the half-line generator transform", 1e-8
@@ -652,7 +648,7 @@ def suite_index(cfg):
     def winding_additivity():
         rng = _check_rng(cfg, "index_additivity")
         ok = True
-        for _ in range(cfg["trials"]):
+        for _ in range(TRIALS):
             m1, m2 = rng.integers(0, 4, 2)
             l1, l2 = (_blaschke_loop(rng, m) for m in (m1, m2))
             windings = [wiener_hopf.winding_number(loop) for loop in (l1, l2, l1 * l2)]

@@ -111,6 +111,7 @@ class SymbolLoop:
 
 
 MAX_ARG_STEP = 0.9 * np.pi  # a sampled step this close to pi means aliasing
+WINDING_RESIDUAL = 0.05  # turns from the nearest integer a trusted winding may miss by
 
 
 def winding_number(loop):
@@ -119,13 +120,13 @@ def winding_number(loop):
     Raises NonFredholmError when the loop meets the origin and
     UnderResolvedLoopError when the sampling cannot be trusted: either the
     accumulated argument misses every integer multiple of 2 pi by more than
-    0.05 turns, or a single step turns by nearly pi (principal branches then
-    wrap, which aliases the count).
+    WINDING_RESIDUAL turns, or a single step turns by nearly pi (principal
+    branches then wrap, which aliases the count).
     """
     raw, residual, _, max_step = winding_diagnostics(loop)
-    if residual > 0.05:
+    if residual > WINDING_RESIDUAL:
         raise UnderResolvedLoopError(
-            f"winding residual {residual:.3g} exceeds 0.05; increase the loop resolution"
+            f"winding residual {residual:.3g} exceeds {WINDING_RESIDUAL}; increase the loop resolution"
         )
     if max_step > MAX_ARG_STEP:
         raise UnderResolvedLoopError(
