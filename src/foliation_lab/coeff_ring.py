@@ -53,6 +53,7 @@ we treat them as effectively compact.
 from __future__ import annotations
 
 import operator
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, pi, prod, sqrt
@@ -201,32 +202,22 @@ def _spline_horner(c, pick, dx, outside):
     return vals
 
 
-class GridSpec(tuple):
+class GridSpec(namedtuple("GridSpec", "start step count")):
     """(start, step, count) of a uniform axis."""
+
+    __slots__ = ()
 
     def __new__(cls, start, step, count):
         if not step > 0:
             raise ValueError("grid step must be positive")
         if count < 2:
             raise ValueError("grid needs at least two points")
-        return super().__new__(cls, (float(start), float(step), int(count)))
+        return super().__new__(cls, float(start), float(step), int(count))
 
     @classmethod
     def centered(cls, radius, step):
         n = int(round(radius / step))
         return cls(-n * step, step, 2 * n + 1)
-
-    @property
-    def start(self):
-        return self[0]
-
-    @property
-    def step(self):
-        return self[1]
-
-    @property
-    def count(self):
-        return self[2]
 
     @property
     def end(self):

@@ -16,7 +16,7 @@ Two variants are supported:
     v(phi_t(x)) / v(x).
 
 The module also provides the Taylor coefficients phi_m^n (coefficient of x^m
-in (phi_t(x))^n) in one cached table per order, the multiplicative cocycles
+in (phi_t(x))^n), one cached entry per (k, n, m), the multiplicative cocycles
 ``cocycle_delta`` (phi_t(x)/x, smoothly extended through x = 0) and
 ``beta_cocycle`` ((phi_t'(x))^(1/2) for x != 0, and 1 on the isotropy line
 x = 0 -- note the x = 0 value makes beta discontinuous when k = 1, where
@@ -322,29 +322,23 @@ def beta_cocycle(model, x, t):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def taylor_table(k, m_max):
-    """The mapping (n, m) -> phi_m^n, 0 <= n <= m <= m_max, for the monomial
-    flow of order k; any other pair raises KeyError.  One cached table per
-    (k, m_max), so every caller sees the same coefficients."""
-    table = {}
-    for n in range(m_max + 1):
-        for m in range(n, m_max + 1):
-            if k == 1:
-                table[n, m] = FlowCoeff("exp", rate=float(n)) if m == n else FlowCoeff("poly")
-            else:
-                table[n, m] = FlowCoeff("poly", poly=tuple(taylor_flow_power(k, n, m).tolist()))
-    return table
+@lru_cache(maxsize=None)
+def taylor_coeff(k, n, m):
+    """phi_m^n for the monomial flow of order k: e^(n t) on the diagonal when
+    k = 1, otherwise a polynomial in t, zero below the diagonal m < n.  One
+    cached entry per (k, n, m), so every caller sees the same coefficient."""
+    if k == 1:
+        return FlowCoeff("exp", rate=float(n)) if m == n else FlowCoeff("poly")
+    return FlowCoeff("poly", poly=tuple(taylor_flow_power(k, n, m).tolist()))
 
 
 def check_cocycle_identity(k, n, m, t, s):
     """max |phi_m^n(t) - sum_i phi_m^i(t-s) phi_i^n(s)| over t and s, which
     broadcast; each point's residual is the one a scalar call gives."""
-    table = taylor_table(k, max(m, DEFAULT_M_MAX))
-    lhs = table[n, m](t)
+    lhs = taylor_coeff(k, n, m)(t)
     rhs = 0.0
     for i in range(n, m + 1):
-        rhs += table[i, m](t - s) * table[n, i](s)
+        rhs += taylor_coeff(k, i, m)(t - s) * taylor_coeff(k, n, i)(s)
     return float(np.max(np.abs(lhs - rhs)))
 
 

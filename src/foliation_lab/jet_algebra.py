@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .coeff_ring import GaussPolyFn, random_gauss_poly
-from .flow import taylor_table
+from .flow import taylor_coeff
 
 ORDER_CONVENTION = "quotient by x^(p+1) == jets of truncation order p"
 
@@ -84,13 +84,12 @@ class Jet:
 def jet_mul(f, g):
     """Twisted product, exact in the coefficient ring."""
     f._check_match(g)
-    table = taylor_table(f.k, max(f.p, 1))
     out = []
     for q in range(f.p + 1):
         acc = None
         for n in range(q + 1):
             for m in range(n, q + 1):
-                c = table[n, m]
+                c = taylor_coeff(f.k, n, m)
                 if c.is_zero():
                     continue
                 term = f.coeffs[n].convolve(c.apply(g.coeffs[q - m]))
@@ -110,14 +109,13 @@ def x_mult_left(f):
     """(x f): shift plus the flow twist through the phi_m^1 column."""
     if f.p < 1:
         raise ValueError("x-multiplication needs truncation order p >= 1")
-    table = taylor_table(f.k, f.p)
     out = [None] * (f.p + 1)
     pad = GaussPolyFn.zero()
     out[0] = pad
     for q in range(1, f.p + 1):
         acc = None
         for m in range(1, q + 1):
-            c = table[1, m]
+            c = taylor_coeff(f.k, 1, m)
             if c.is_zero():
                 continue
             term = c.apply(f.coeffs[q - m])

@@ -24,11 +24,13 @@ winds -1; only the bookkeeping flips, the operators do not change.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coeff_ring import GridSpec, _bump, _fft_convolve, _nonzero_span
+from .flow import flow_eval_many
 
 
 class NonFredholmError(ValueError):
@@ -98,16 +100,12 @@ class SymbolLoop:
         return np.concatenate([v, v[:1]])
 
     def __mul__(self, other):
-        """Samplewise product with a scalar or a loop of the same kind and length."""
-        if isinstance(other, SymbolLoop):
-            if self.kind != other.kind:
-                raise ValueError("cannot combine circle and line loops")
-            if self.values.size != other.values.size:
-                raise ValueError("loops have different sample counts")
-            other = other.values
-        return SymbolLoop(self.values * other, self.kind)
-
-    __rmul__ = __mul__
+        """Samplewise product with a loop of the same kind and length."""
+        if self.kind != other.kind:
+            raise ValueError("cannot combine circle and line loops")
+        if self.values.size != other.values.size:
+            raise ValueError("loops have different sample counts")
+        return SymbolLoop(self.values * other.values, self.kind)
 
 
 MAX_ARG_STEP = 0.9 * np.pi  # a sampled step this close to pi means aliasing
@@ -321,30 +319,17 @@ def index_report(loop):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlowBiIndex:
-    """Source/sink signature of the fixed point on the two half-lines:
-    +1 for a source, -1 for a sink, component one for the left half-line."""
-
-    left: int
-    right: int
-
-    def __post_init__(self):
-        if self.left not in (-1, 1) or self.right not in (-1, 1):
-            raise ValueError("bi-index components must be +1 or -1")
+# source/sink signature of the fixed point on the two half-lines: +1 for a
+# source, -1 for a sink, component one for the left half-line
+FlowBiIndex = namedtuple("FlowBiIndex", "left right")
 
 
 def flow_bi_index(model):
-    """Bi-index read off the sign of the generating field at x = -0.1 and 0.1.
-
-    On the right half-line a positive field pushes away from 0 (source, +1);
-    on the left half-line a negative field pushes away from 0 (source, +1).
-    """
-    right_field = float(model.vector_field(0.1))
-    left_field = float(model.vector_field(-0.1))
-    right = 1 if right_field > 0 else -1
-    left = 1 if left_field < 0 else -1
-    return FlowBiIndex(left=left, right=right)
+    """Bi-index read off the orbits of x = -0.1 and 0.1 at time 0.1: epsilon
+    is +1 on a half-line whose orbit moves away from 0 and -1 on one whose
+    orbit moves toward it (0 where the move is below rounding, from k = 16)."""
+    moved = np.abs(flow_eval_many(model, [0.1], [-0.1, 0.1])[0]) - 0.1
+    return FlowBiIndex(*np.sign(moved).astype(int).tolist())
 
 
 def parity_invariant(idx):

@@ -58,6 +58,15 @@ def test_missing_config_is_usage_error(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_unreadable_config_is_usage_error(tmp_path, capsys):
+    # a directory; a permission-denied file is the same OSError branch
+    out = str(tmp_path / "never.json")
+    code = main(["classify", "--config", str(tmp_path), "--out", out])
+    assert code == 2
+    assert not os.path.exists(out)
+    assert "cannot read config file" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "override",
     [

@@ -28,8 +28,8 @@ from foliation_lab.flow import (
     flow_derivative_many,
     flow_eval,
     flow_eval_many,
+    taylor_coeff,
     taylor_flow_power,
-    taylor_table,
 )
 
 # ---------------------------------------------------------------------------
@@ -151,9 +151,8 @@ def test_taylor_flow_power_edges():
 
 def test_taylor_table_invariants_and_json():
     for k in (1, 2, 3):
-        table = taylor_table(k, 6)
         for n in range(7):
-            diag = table[n, n]
+            diag = taylor_coeff(k, n, n)
             t = np.linspace(-1, 1, 11)
             if k == 1:
                 np.testing.assert_allclose(diag(t), np.exp(n * t))
@@ -161,13 +160,12 @@ def test_taylor_table_invariants_and_json():
                 np.testing.assert_allclose(diag(t), np.ones_like(t))
             for m in range(n + 1, 7):
                 if m - n < k - 1 or (k == 1 and m != n):
-                    assert table[n, m].is_zero()
+                    assert taylor_coeff(k, n, m).is_zero()
+            # below the diagonal an entry is the zero polynomial
+            for m in range(n):
+                assert taylor_coeff(k, n, m).is_zero()
         for m in range(1, 7):
-            assert table[0, m].is_zero()
-        # only 0 <= n <= m <= m_max is tabulated
-        for pair in ((2, 1), (0, 7), (-1, 0)):
-            with pytest.raises(KeyError):
-                table[pair]
+            assert taylor_coeff(k, 0, m).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +434,7 @@ def test_cocycle_identity_examples():
     # s = 0 collapses to an exact tautology
     assert check_cocycle_identity(2, 1, 3, 1.3, 0.0) == 0.0
     # hand expansion at k=2, n=1, m=3, t=2, s=1: both sides equal 4
-    table = taylor_table(2, 4)
-    lhs = table[1, 3](2.0)
+    lhs = taylor_coeff(2, 1, 3)(2.0)
     assert lhs == pytest.approx(4.0)
     assert check_cocycle_identity(2, 1, 3, 2.0, 1.0) <= 1e-12
     # k = 1 diagonal: the exponential law

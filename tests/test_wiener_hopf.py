@@ -299,10 +299,15 @@ def test_parity_invariant_values():
 
 
 def test_bi_index_validation_and_report():
-    with pytest.raises(ValueError):
-        FlowBiIndex(0, 1)
     rep = bi_index_report(FlowModel(4))
     assert rep == {"k": 4, "variant": MONOMIAL, "epsilon": [-1, 1], "parity_invariant": 0}
+
+
+def test_bi_index_unresolved_orbit_reads_zero():
+    # the orbit of 0.1 moves by about 0.1^(k+1) in time 0.1, under half an
+    # ulp of 0.1 from k = 17: no half-line is misread as a sink
+    assert flow_bi_index(FlowModel(15)) == (1, 1)
+    assert flow_bi_index(FlowModel(17)) == (0, 0)
 
 
 # ---------------------------------------------------------------------------
