@@ -375,9 +375,7 @@ def suite_verify_flow(cfg):
         coeff = flow.taylor_coeff
         for k in k_values:
             for n in range(9):
-                diag = coeff(k, n, n)
-                if diag.kind == "poly":
-                    yield abs(np.asarray(diag.poly)[0] - 1.0)
+                yield abs(coeff(k, n, n).poly[0] - 1.0)
                 for m in range(n + 1, min(n + max(k - 1, 1), 9)):
                     yield float(np.max(np.abs(coeff(k, n, m).poly)))
             for m in range(1, 9):
@@ -657,7 +655,7 @@ def suite_index(cfg):
 
     def section_diagnostics():
         shift = wiener_hopf.toeplitz_finite_section(
-            wiener_hopf.SymbolLoop.from_circle_function(lambda z: z, label="shift"), 50
+            wiener_hopf.SymbolLoop.from_circle_function(lambda z: z), 50
         )
         counts = wiener_hopf.finite_section_kernel_counts(shift)
         ok = counts == (1, 1)
@@ -776,9 +774,14 @@ def run_suite(name, cfg, out_path=None):
 
 def _write_atomic(path, text):
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _write_norm_csv(report_path, rows):
@@ -820,6 +823,10 @@ def main(argv=None):
         return 2
 
     out_path = args.out or f"{args.suite.replace('-', '_')}_report.json"
+    if os.path.isdir(out_path) or not os.path.isdir(os.path.dirname(out_path) or "."):
+        reason = "it is a directory or its parent directory is missing"
+        print(f"error: cannot write report {out_path!r}: {reason}", file=sys.stderr)
+        return 2
     report = run_suite(args.suite, cfg, out_path)
     for rec in report["checks"]:
         if rec["status"] == "error":

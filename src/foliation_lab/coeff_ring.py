@@ -31,8 +31,8 @@ variance), so ``f*g`` and ``g*f`` are identical bit for bit.  The product
 of each ordered atom pair is memoised for the last ``ATOM_PAIR_MEMO_SIZE``
 (2,048) distinct pairs, about one jets-exact pass; the key is the two atoms
 and the type of every coefficient, so float and complex coefficients of
-equal value never share an entry.  Every polynomial is evaluated by the one
-in-place Horner pass, ``horner``.
+equal value never share an entry.  Every polynomial but the spline's cubic
+pieces (``_spline_horner``, below) is evaluated by the in-place ``horner``.
 
 One evaluator, ``GaussPolyFn._values``, serves ``__call__``, ``sample`` and
 ``sup_norm``.  It sums the atoms from zero in atom order, each through

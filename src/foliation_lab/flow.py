@@ -5,7 +5,8 @@ Two variants are supported:
 ``monomial``
     the field x^k d/dx itself.  For k = 1 the flow is e^t x; for k >= 2 it is
     x / (1 - (k-1) t x^(k-1))^(1/(k-1)), defined where (k-1) t x^(k-1) < 1.
-    All Taylor data at 0 is exact (polynomials in t, or e^(n t) for k = 1).
+    All Taylor data at 0 is exact: each entry is poly(t) e^(rate t), a
+    polynomial in t for k >= 2 and e^(n t) for k = 1.
 
 ``complete_rescaled``
     the globally defined field v(x) = (1+x^2)^(-(k-1)/2) x^k d/dx, which
@@ -16,7 +17,8 @@ Two variants are supported:
     v(phi_t(x)) / v(x).
 
 The module also provides the Taylor coefficients phi_m^n (coefficient of x^m
-in (phi_t(x))^n), one cached entry per (k, n, m), the multiplicative cocycles
+in (phi_t(x))^n), one cached ``FlowCoeff`` per (k, n, m) from the closed form
+in ``taylor_coeff``, the multiplicative cocycles
 ``cocycle_delta`` (phi_t(x)/x, smoothly extended through x = 0) and
 ``beta_cocycle`` ((phi_t'(x))^(1/2) for x != 0, and 1 on the isotropy line
 x = 0 -- note the x = 0 value makes beta discontinuous when k = 1, where
@@ -230,55 +232,45 @@ def flow_derivative(model, t, x):
 # ---------------------------------------------------------------------------
 
 
-def taylor_flow_power(k, n, m):
-    """Coefficient of x^m in (phi_t(x))^n for the monomial flow, k >= 2.
-
-    Returns ascending polynomial coefficients in t.  The coefficient vanishes
-    unless m = n + j*(k-1) for some j >= 0, where it equals
-    rising(n/(k-1), j) * (k-1)^j / j! * t^j.
-    """
-    if k < 2:
-        raise ValueError("polynomial Taylor data exists for k >= 2; k = 1 is e^(n t) on the diagonal")
-    if n < 0 or m < n:
-        return np.zeros(1)
-    if n == 0:
-        return np.array([1.0]) if m == 0 else np.zeros(1)
-    d = m - n
-    if d % (k - 1) != 0:
-        return np.zeros(1)
-    j = d // (k - 1)
-    out = np.zeros(j + 1)
-    # rising(n/(k-1), j) (k-1)^j = n (n + k-1) ... (n + (j-1)(k-1)): an integer,
-    # so one correctly rounded division gives the coefficient
-    out[j] = prod(range(n, n + j * (k - 1), k - 1)) / factorial(j)
-    return out
-
-
 @dataclass(frozen=True)
 class FlowCoeff:
-    """One entry phi_m^n: a polynomial in t, or a pure exponential e^(rate*t)."""
+    """One entry phi_m^n: poly(t) e^(rate t), poly in ascending powers of t."""
 
-    kind: str  # "poly" | "exp"
     poly: tuple = (0.0,)
     rate: float = 0.0
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        if self.kind == "poly":
-            return horner(self.poly, t, np.empty(t.shape))
-        return np.exp(self.rate * t)
+        out = horner(self.poly, t, np.empty(t.shape))
+        return out * np.exp(self.rate * t) if self.rate else out
 
     def is_zero(self):
-        return self.kind == "poly" and not any(self.poly)
+        return not any(self.poly)
 
     def apply(self, f):
-        """Pointwise-multiply a coefficient function by this entry; the unit
-        polynomial returns f itself, which is exactly f * 1.0."""
-        if self.kind == "poly":
-            if self.poly == (1.0,):
-                return f
-            return f.mul_by_poly(self.poly)
-        return f.mul_by_exp(self.rate)
+        """Pointwise-multiply a coefficient function by this entry; a unit
+        polynomial and a zero rate are skipped, as f * 1.0 is exactly f."""
+        if self.poly != (1.0,):
+            f = f.mul_by_poly(self.poly)
+        return f.mul_by_exp(self.rate) if self.rate else f
+
+
+@lru_cache(maxsize=None)
+def taylor_coeff(k, n, m):
+    """phi_m^n, the coefficient of x^m in (phi_t(x))^n, for the monomial flow
+    of order k: e^(n t) on the diagonal when k = 1, otherwise a polynomial in
+    t that vanishes unless m = n + j (k-1), j >= 0, where it is
+    rising(n/(k-1), j) (k-1)^j / j! t^j.  Zero below the diagonal m < n.
+    One cached entry per (k, n, m), so every caller sees the same one."""
+    if k == 1:
+        return FlowCoeff((1.0,), float(n)) if m == n else FlowCoeff()
+    d = m - n
+    if d < 0 or d % (k - 1) or (n == 0 and d):
+        return FlowCoeff()
+    j = d // (k - 1)
+    # rising(n/(k-1), j) (k-1)^j = n (n + k-1) ... (n + (j-1)(k-1)): an integer,
+    # so one correctly rounded division gives the coefficient
+    return FlowCoeff((0.0,) * j + (prod(range(n, n + j * (k - 1), k - 1)) / factorial(j),))
 
 
 # ---------------------------------------------------------------------------
@@ -320,16 +312,6 @@ def beta_cocycle(model, x, t):
 # ---------------------------------------------------------------------------
 # identity checks
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def taylor_coeff(k, n, m):
-    """phi_m^n for the monomial flow of order k: e^(n t) on the diagonal when
-    k = 1, otherwise a polynomial in t, zero below the diagonal m < n.  One
-    cached entry per (k, n, m), so every caller sees the same coefficient."""
-    if k == 1:
-        return FlowCoeff("exp", rate=float(n)) if m == n else FlowCoeff("poly")
-    return FlowCoeff("poly", poly=tuple(taylor_flow_power(k, n, m).tolist()))
 
 
 def check_cocycle_identity(k, n, m, t, s):

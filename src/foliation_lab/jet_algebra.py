@@ -3,9 +3,8 @@
 A ``Jet`` of truncation order p models the quotient of the groupoid
 convolution algebra by the ideal of kernels vanishing to order p+1 at x = 0,
 i.e. a series f_0 + f_1 x + ... + f_p x^p with coefficients in the
-convolution ring of the t variable, each an exact ``GaussPolyFn``.
-(Statements about the quotient by x^p therefore read "jets of truncation
-order p-1"; ``ORDER_CONVENTION`` records the bridge and tests assert it.)
+convolution ring of the t variable, each an exact ``GaussPolyFn``; a
+statement about the quotient by x^p reads "jets of truncation order p-1".
 ``groupoid_conv.taylor_map`` carries a sampled kernel onto the jet's
 coefficient rows; verify-groupoid compares them with exact jets.
 
@@ -14,12 +13,15 @@ The product twists the coefficient ring by the Taylor data of the flow:
     (f g)_q = sum over n <= m <= q of  f_n * (phi_m^n . g_{q-m})
 
 where * is convolution in t and phi_m^n . h is pointwise multiplication by
-the flow-power Taylor coefficient (a polynomial in t for k >= 2, e^(n t) for
-k = 1).  Multiplication by the indeterminate x is implemented by the same
-sums with the convolution unit in place of f: right multiplication shifts
-coefficients up one degree, and left multiplication picks up the twist
+the flow-power Taylor coefficient ``flow.taylor_coeff(k, n, m)``, poly(t)
+e^(rate t): a polynomial in t for k >= 2, e^(n t) on the diagonal for
+k = 1.  The twist has one home, ``_twist_terms``, which lists the nonzero
+phi_m^n . g_{q-m} of one (n, q).  Multiplication by the indeterminate x
+uses the same sums for the jet x, whose one coefficient is the
+convolution unit: right multiplication shifts coefficients up one degree,
+and left multiplication picks up the twist
 
-    (x f)_q = f_{q-1} + sum over m >= 2 of phi_m^1 . f_{q-m} ,
+    (x f)_q = sum over 1 <= m <= q of phi_m^1 . f_{q-m} ,
 
 whose first nontrivial term reproduces x f = f x + delta(f) x^k at order k
 (delta(h)(t) = t h(t)), and x f = Delta(f) x for k = 1 (Delta = e^t twist).
@@ -27,12 +29,12 @@ whose first nontrivial term reproduces x f = f x + delta(f) x^k at order k
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 from .coeff_ring import GaussPolyFn, random_gauss_poly
 from .flow import taylor_coeff
-
-ORDER_CONVENTION = "quotient by x^(p+1) == jets of truncation order p"
 
 
 class Jet:
@@ -81,20 +83,20 @@ class Jet:
         return f"Jet(k={self.k}, p={self.p})"
 
 
+def _twist_terms(k, n, q, g):
+    """The nonzero phi_m^n . g_(q-m) for n <= m <= q, in order of m."""
+    terms = ((taylor_coeff(k, n, m), g.coeffs[q - m]) for m in range(n, q + 1))
+    return [c.apply(h) for c, h in terms if not c.is_zero()]
+
+
 def jet_mul(f, g):
-    """Twisted product, exact in the coefficient ring."""
+    """Twisted product, exact in the coefficient ring: each term convolved on
+    its own and summed in (n, m) order."""
     f._check_match(g)
     out = []
     for q in range(f.p + 1):
-        acc = None
-        for n in range(q + 1):
-            for m in range(n, q + 1):
-                c = taylor_coeff(f.k, n, m)
-                if c.is_zero():
-                    continue
-                term = f.coeffs[n].convolve(c.apply(g.coeffs[q - m]))
-                acc = term if acc is None else acc.add(term)
-        out.append(acc)  # phi_0^0 = 1, so every order has at least one term
+        terms = [f.coeffs[n].convolve(h) for n in range(q + 1) for h in _twist_terms(f.k, n, q, g)]
+        out.append(reduce(GaussPolyFn.add, terms))  # phi_0^0 = 1: never empty
     return Jet(f.k, out)
 
 
@@ -106,22 +108,12 @@ def x_mult_right(f):
 
 
 def x_mult_left(f):
-    """(x f): shift plus the flow twist through the phi_m^1 column."""
+    """(x f): ``jet_mul``'s sums for the jet x, whose one coefficient x_1 is
+    the convolution unit, so order q is the sum of phi_m^1 . f_(q-m)."""
     if f.p < 1:
         raise ValueError("x-multiplication needs truncation order p >= 1")
-    out = [None] * (f.p + 1)
-    pad = GaussPolyFn.zero()
-    out[0] = pad
-    for q in range(1, f.p + 1):
-        acc = None
-        for m in range(1, q + 1):
-            c = taylor_coeff(f.k, 1, m)
-            if c.is_zero():
-                continue
-            term = c.apply(f.coeffs[q - m])
-            acc = term if acc is None else acc.add(term)
-        out[q] = pad if acc is None else acc
-    return Jet(f.k, out)
+    twisted = (reduce(GaussPolyFn.add, _twist_terms(f.k, 1, q, f)) for q in range(1, f.p + 1))
+    return Jet(f.k, [GaussPolyFn.zero(), *twisted])
 
 
 def commutator(f, g):

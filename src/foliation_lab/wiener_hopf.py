@@ -63,9 +63,9 @@ class SymbolLoop:
         self.label = label
 
     @classmethod
-    def from_circle_function(cls, fn, n=1024, label=""):
+    def from_circle_function(cls, fn, n=1024):
         theta = 2.0 * np.pi * np.arange(n) / n
-        return cls(fn(np.exp(1j * theta)), kind="circle", label=label)
+        return cls(fn(np.exp(1j * theta)), kind="circle")
 
     @staticmethod
     def tangent_grid(n):

@@ -67,6 +67,25 @@ def test_unreadable_config_is_usage_error(tmp_path, capsys):
     assert "cannot read config file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out", ["reports", "missing/r.json"])
+def test_unwritable_report_path_is_usage_error(tmp_path, capsys, out):
+    # a directory, or a path whose parent does not exist: refused before any
+    # check runs, with no temp file left behind
+    (tmp_path / "reports").mkdir()
+    code = main(["classify", "--out", str(tmp_path / out)])
+    assert code == 2
+    assert "cannot write report" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.tmp.*"))
+    assert not (tmp_path / "missing").exists()
+
+
+def test_failed_atomic_write_removes_its_temp_file(tmp_path):
+    (tmp_path / "reports").mkdir()
+    with pytest.raises(IsADirectoryError):
+        cli._write_atomic(str(tmp_path / "reports"), "{}")
+    assert not list(tmp_path.glob("*.tmp.*"))
+
+
 @pytest.mark.parametrize(
     "override",
     [

@@ -29,7 +29,6 @@ from foliation_lab.flow import (
     flow_eval,
     flow_eval_many,
     taylor_coeff,
-    taylor_flow_power,
 )
 
 # ---------------------------------------------------------------------------
@@ -98,7 +97,7 @@ def test_taylor_flow_power_matches_ode_series_oracle(k):
     for n in (1, 2, 3):
         powered = _series_power(c, n, m_max)
         for m in range(n, m_max + 1):
-            got = taylor_flow_power(k, n, m)
+            got = taylor_coeff(k, n, m).poly
             want = powered[m]
             size = max(len(got), len(want))
             a = np.zeros(size)
@@ -119,7 +118,7 @@ def test_taylor_flow_power_matches_sympy_series(k):
         series = sp.expand(sp.series(phi**n, x, 0, 9).removeO())
         for m in range(n, 9):
             want = sp.Poly(series.coeff(x, m), t).all_coeffs()[::-1]
-            got = taylor_flow_power(k, n, m).tolist()
+            got = list(taylor_coeff(k, n, m).poly)
             want = [float(c) for c in want] + [0.0] * (len(got) - len(want))
             assert got == want, (n, m)
 
@@ -129,7 +128,7 @@ def test_taylor_flow_power_binomial_identity_k2():
 
     for n in range(1, 5):
         for m in range(n, 8):
-            coeffs = taylor_flow_power(2, n, m)
+            coeffs = taylor_coeff(2, n, m).poly
             expect = comb(m - 1, n - 1)
             assert abs(coeffs[-1] - expect) <= 1e-12
             assert len(coeffs) == m - n + 1 or expect == 0
@@ -138,15 +137,28 @@ def test_taylor_flow_power_binomial_identity_k2():
 def test_taylor_flow_power_edges():
     for k in (2, 3, 5):
         for n in (0, 1, 3):
-            diag = taylor_flow_power(k, n, n)
+            diag = taylor_coeff(k, n, n).poly
             np.testing.assert_allclose(diag, [1.0])
         # first off-diagonal entry is n*t
         for n in (1, 2, 4):
-            coeffs = taylor_flow_power(k, n, n + k - 1)
+            coeffs = taylor_coeff(k, n, n + k - 1).poly
             np.testing.assert_allclose(coeffs, [0.0, float(n)])
-    assert taylor_flow_power(3, 0, 2)[0] == 0.0
-    with pytest.raises(ValueError):
-        taylor_flow_power(1, 1, 1)
+    assert taylor_coeff(3, 0, 2).poly[0] == 0.0
+
+
+def test_taylor_flow_power_k1_matches_sympy_series():
+    # k = 1: phi_t(x) = e^t x, so each entry is e^(n t) on the diagonal and 0
+    # off it; the entry poly(t) e^(rate t), rebuilt exactly, must equal the
+    # x^m coefficient of sympy's series of (e^t x)^n
+    sp = pytest.importorskip("sympy")
+    x, t = sp.symbols("x t")
+    for n in range(4):
+        series = sp.expand(sp.series((sp.exp(t) * x) ** n, x, 0, 7).removeO())
+        for m in range(7):
+            c = taylor_coeff(1, n, m)
+            poly = sum(sp.Rational(a) * t**i for i, a in enumerate(c.poly))
+            assert sp.simplify(poly * sp.exp(sp.Rational(c.rate) * t) - series.coeff(x, m)) == 0
+            assert c.is_zero() == (m != n), (n, m)
 
 
 def test_taylor_table_invariants_and_json():

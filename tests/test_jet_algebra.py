@@ -9,9 +9,11 @@ single coefficient b*(t c) at degree k (k >= 2).
 import numpy as np
 import pytest
 
+from foliation_lab import cli
+from foliation_lab.cli import DEFAULT_CONFIG
 from foliation_lab.coeff_ring import GaussPolyFn, random_gauss_poly
+from foliation_lab.flow import FlowModel, taylor_coeff
 from foliation_lab.jet_algebra import (
-    ORDER_CONVENTION,
     Jet,
     commutativity_report,
     commutativity_witness,
@@ -225,10 +227,74 @@ def test_witness_is_unit_norm():
 def test_order_convention_bridge():
     # "quotient by x^p" statements translate to jets of truncation order p-1:
     # for k = 2, order 1 (quotient by x^2) commutes, order 2 does not
-    assert "p+1" in ORDER_CONVENTION
     b, c, z = gaussian_pair()
     f1, g1 = Jet(2, [z, b]), Jet(2, [c, z])
     assert commutator(f1, g1).sup_norm() <= 1e-12
     f2, g2 = Jet(2, [z, b, z]), Jet(2, [c, z, z])
     assert commutator(f2, g2).sup_norm() >= 1e-3
 
+
+
+# ---------------------------------------------------------------------------
+# the shared twist against the former triple loops
+# ---------------------------------------------------------------------------
+
+
+def _loop_apply(k, c, h):
+    # the former FlowCoeff.apply: a k = 1 entry was e^(rate t), applied even
+    # at rate 0, and a unit polynomial returned h itself
+    if k == 1:
+        return h.mul_by_exp(c.rate)
+    return h if c.poly == (1.0,) else h.mul_by_poly(c.poly)
+
+
+def _loop_jet_mul(f, g):
+    out = []
+    for q in range(f.p + 1):
+        acc = None
+        for n in range(q + 1):
+            for m in range(n, q + 1):
+                c = taylor_coeff(f.k, n, m)
+                if c.is_zero():
+                    continue
+                term = f.coeffs[n].convolve(_loop_apply(f.k, c, g.coeffs[q - m]))
+                acc = term if acc is None else acc.add(term)
+        out.append(acc)
+    return Jet(f.k, out)
+
+
+def _loop_x_mult_left(f):
+    out = [GaussPolyFn.zero()]
+    for q in range(1, f.p + 1):
+        acc = None
+        for m in range(1, q + 1):
+            c = taylor_coeff(f.k, 1, m)
+            if c.is_zero():
+                continue
+            term = _loop_apply(f.k, c, f.coeffs[q - m])
+            acc = term if acc is None else acc.add(term)
+        out.append(GaussPolyFn.zero() if acc is None else acc)
+    return Jet(f.k, out)
+
+
+def _hex_atoms(jet):
+    return [
+        [(tuple(map(float.hex, a.poly)), float.hex(a.mean), float.hex(a.variance)) for a in c.atoms]
+        for c in jet.coeffs
+    ]
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_shared_twist_matches_the_triple_loops_bit_for_bit(k):
+    # random jets, a product of them, and kernel jets whose coefficients share
+    # atom keys: jet_mul and x_mult_left must give the loops' atoms exactly
+    rng = np.random.default_rng(100 + k)
+    xg, tg = cli._grids(DEFAULT_CONFIG, k)
+    for p in (2, 4, 6):
+        f, g = (Jet(k, [random_gauss_poly(rng) for _ in range(p + 1)]) for _ in range(2))
+        fg = jet_mul(f, g)
+        jf, jg = (cli._jet_kernel(FlowModel(k), xg, tg, p, rng)[1] for _ in range(2))
+        for a, b in ((f, g), (fg, f), (jf, jg), (jf, f)):
+            assert _hex_atoms(jet_mul(a, b)) == _hex_atoms(_loop_jet_mul(a, b)), (p, a, b)
+        for a in (f, fg, jf):
+            assert _hex_atoms(x_mult_left(a)) == _hex_atoms(_loop_x_mult_left(a)), (p, a)
