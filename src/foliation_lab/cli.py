@@ -19,7 +19,9 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import errno
 import functools
+import io
 import json
 import math
 import os
@@ -252,20 +254,24 @@ def _random_kernels(cfg, k, rng, count):
 
 
 def _composable(model, rng, count, draw_x):
-    """count random (x, t, s, y) with y = phi_s(x), where phi_s(x),
-    phi_(t+s)(x) and phi_t(y) are all defined; t and s are uniform on
-    [-0.5, 0.5]."""
-    done = 0
-    while done < count:
-        x = draw_x(rng)
-        t = float(rng.uniform(-0.5, 0.5))
-        s = float(rng.uniform(-0.5, 0.5))
-        if not (model.in_domain(s, x) and model.in_domain(t + s, x)):
-            continue
-        y = flow.flow_eval(model, s, x)
-        if model.in_domain(t, y):
-            done += 1
-            yield x, t, s, y
+    """Arrays x, t, s, y of count random arrows with y = phi_s(x), where
+    phi_s(x), phi_(t+s)(x) and phi_t(y) are all defined; t and s are uniform
+    on [-0.5, 0.5].  Each candidate is drawn and tested on x alone; y and its
+    test run on the outstanding batch at once, which keeps the samples and
+    the final generator state of a one-at-a-time loop."""
+    accepted = np.empty((4, 0))
+    while accepted.shape[1] < count:
+        batch = []
+        while len(batch) < count - accepted.shape[1]:
+            x = draw_x(rng)
+            t = float(rng.uniform(-0.5, 0.5))
+            s = float(rng.uniform(-0.5, 0.5))
+            if model.in_domain(s, x) and model.in_domain(t + s, x):
+                batch.append((x, t, s))
+        x, t, s = np.array(batch).T
+        y = flow.flow_eval_many(model, s, x)
+        accepted = np.hstack([accepted, np.array([x, t, s, y])[:, model.in_domain(t, y)]])
+    return accepted
 
 
 def _near_zero(rng):
@@ -367,8 +373,9 @@ def suite_verify_flow(cfg):
         for k in k_values:
             for variant in (flow.MONOMIAL, flow.COMPLETE_RESCALED):
                 model = FlowModel(k, variant)
-                for x, t, s, y in _composable(model, rng, 25, _near_zero):
-                    yield abs(flow.flow_eval(model, t + s, x) - flow.flow_eval(model, t, y))
+                x, t, s, y = _composable(model, rng, 25, _near_zero)
+                gap = flow.flow_eval_many(model, t + s, x) - flow.flow_eval_many(model, t, y)
+                yield from np.abs(gap).tolist()
 
     @_check("taylor_table_diagonal_band_row0", "Taylor expansion of powers of the flow", 0.0)
     def taylor_table_invariants():
@@ -404,9 +411,9 @@ def suite_verify_flow(cfg):
         rng = _check_rng(cfg, "flow_delta_cocycle")
         for k in k_values:
             model = FlowModel(k)
-            for x, t, s, y in _composable(model, rng, 30, _near_zero):
-                lhs = flow.cocycle_delta(model, x, t + s)
-                yield abs(lhs - flow.cocycle_delta(model, y, t) * flow.cocycle_delta(model, x, s))
+            x, t, s, y = _composable(model, rng, 30, _near_zero)
+            delta = functools.partial(flow.cocycle_delta_many, model)
+            yield from np.abs(delta(t + s, x) - delta(t, y) * delta(s, x)).tolist()
 
     @_check(
         "beta_cocycle_multiplicativity",
@@ -417,9 +424,9 @@ def suite_verify_flow(cfg):
         rng = _check_rng(cfg, "flow_beta_cocycle")
         for k in k_values:
             model = FlowModel(k)
-            for x, t, s, y in _composable(model, rng, 30, _off_zero):
-                lhs = flow.beta_cocycle(model, x, t + s)
-                yield abs(lhs - flow.beta_cocycle(model, y, t) * flow.beta_cocycle(model, x, s))
+            x, t, s, y = _composable(model, rng, 30, _off_zero)
+            beta = functools.partial(flow.beta_cocycle, model)
+            yield from np.abs(beta(x, t + s) - beta(y, t) * beta(x, s)).tolist()
 
     @_check(
         "monomial_vs_rescaled_contact_order",
@@ -773,9 +780,9 @@ def run_suite(name, cfg, out_path=None):
 
 
 def _write_atomic(path, text):
-    tmp = f"{path}.tmp.{os.getpid()}"
+    tmp = _temp_path(path)
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -784,13 +791,32 @@ def _write_atomic(path, text):
         raise
 
 
+def _temp_path(path):
+    return f"{path}.tmp.{os.getpid()}"
+
+
+def _probe_write(path):
+    """Create and remove the temp file ``_write_atomic`` writes path through;
+    OSError where that fails, or where path is a directory, which os.replace
+    cannot overwrite with a file."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    tmp = _temp_path(path)
+    with open(tmp, "w"):
+        pass
+    os.remove(tmp)
+
+
+def _norm_csv_path(report_path):
+    return f"{os.path.splitext(report_path)[0]}_norms.csv"
+
+
 def _write_norm_csv(report_path, rows):
-    base, _ = os.path.splitext(report_path)
-    path = f"{base}_norms.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=list(rows[0].keys()))
+    writer.writeheader()
+    writer.writerows(rows)
+    _write_atomic(_norm_csv_path(report_path), text.getvalue())
 
 
 def main(argv=None):
@@ -823,10 +849,17 @@ def main(argv=None):
         return 2
 
     out_path = args.out or f"{args.suite.replace('-', '_')}_report.json"
-    if os.path.isdir(out_path) or not os.path.isdir(os.path.dirname(out_path) or "."):
-        reason = "it is a directory or its parent directory is missing"
-        print(f"error: cannot write report {out_path!r}: {reason}", file=sys.stderr)
-        return 2
+    # the run writes its files only after every check; a path it cannot
+    # write is refused before the first
+    paths = [out_path]
+    if args.suite == "demo-nonpreservation":
+        paths.append(_norm_csv_path(out_path))
+    for path in paths:
+        try:
+            _probe_write(path)
+        except OSError as exc:
+            print(f"error: cannot write report {path!r}: {exc.strerror}", file=sys.stderr)
+            return 2
     report = run_suite(args.suite, cfg, out_path)
     for rec in report["checks"]:
         if rec["status"] == "error":

@@ -572,14 +572,14 @@ class GaussPolyFn:
         if not self.atoms:
             return 0.0
         stack = self._stack()
-        t = np.linspace(*self.support_window(), 4001)
+        t = _linspace(_RAMP_4001, *self.support_window())
         vals = np.abs(self._values(t, stack))
         i = int(np.argmax(vals))
         best = float(vals[i])
         lo = t[max(i - 2, 0)]
         hi = t[min(i + 2, t.size - 1)]
         for _ in range(3):
-            local = np.linspace(lo, hi, 81)
+            local = _linspace(_RAMP_81, lo, hi)
             lvals = np.abs(self._values(local, stack, stacked=True))
             j = int(np.argmax(lvals))
             best = max(best, float(lvals[j]))
@@ -589,6 +589,19 @@ class GaussPolyFn:
 
     def __repr__(self):
         return f"GaussPolyFn(n_atoms={len(self.atoms)})"
+
+
+# the sample counts of GaussPolyFn.sup_norm's search, as ramps 0, 1, ..., n - 1
+_RAMP_4001 = np.arange(4001.0)
+_RAMP_81 = np.arange(81.0)
+
+
+def _linspace(ramp, lo, hi):
+    """np.linspace(lo, hi, ramp.size) by linspace's own arithmetic on a ramp
+    built once: ramp * step + lo, with the last point set to hi."""
+    out = ramp * ((hi - lo) / (ramp.size - 1)) + lo
+    out[-1] = hi
+    return out
 
 
 def _bump(u, radius):

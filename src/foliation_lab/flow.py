@@ -24,8 +24,10 @@ in ``taylor_coeff``, the multiplicative cocycles
 x = 0 -- note the x = 0 value makes beta discontinuous when k = 1, where
 phi_t' = e^t everywhere; the case split is deliberate, not smoothed), and
 residual checks for the composition and cocycle identities satisfied by the
-phi_m^n.  A scalar value is its ``*_many`` grid evaluator at one point, NaN
-exactly where ``in_domain`` fails, where it raises FlowDomainError.
+phi_m^n.  The ``*_many`` evaluators take t and x broadcast together (a grid
+is ``ts[:, None]`` against ``xs``) and are NaN exactly where ``in_domain``
+fails; a scalar value is its evaluator at one point, where that NaN raises
+FlowDomainError.
 """
 
 from __future__ import annotations
@@ -189,27 +191,32 @@ def solve_ivp(*args, **kwargs):
     return scipy_solve_ivp(*args, **kwargs)
 
 
-def flow_eval_many(model, ts, xs):
-    """phi_t(x) on the grid ts x xs; NaN exactly where ``in_domain`` fails."""
-    ts = np.asarray(ts, dtype=float)
-    xs = np.asarray(xs, dtype=float)
+def flow_eval_many(model, t, x):
+    """phi_t(x) for t and x broadcast together; NaN exactly where
+    ``in_domain`` fails.  A grid is ``flow_eval_many(model, ts[:, None], xs)``."""
+    t = np.asarray(t, dtype=float)
+    x = np.asarray(x, dtype=float)
     if model.variant == MONOMIAL:
-        return xs * _monomial_power(model, ts[:, None], xs, 1)
-    return _rescaled_flow(model, ts[:, None], xs)
+        return x * _monomial_power(model, t, x, 1)
+    return _rescaled_flow(model, t, x)
 
 
-def flow_derivative_many(model, ts, xs):
-    """d phi_t / dx on the grid ts x xs; NaN exactly where ``in_domain`` fails."""
-    ts = np.asarray(ts, dtype=float)
-    xs = np.asarray(xs, dtype=float)
+def flow_derivative_many(model, t, x):
+    """d phi_t / dx for t and x broadcast together; NaN exactly where
+    ``in_domain`` fails."""
+    t = np.asarray(t, dtype=float)
+    x = np.asarray(x, dtype=float)
     if model.variant == MONOMIAL:
-        return _monomial_power(model, ts[:, None], xs, model.k)
-    return _rescaled_derivative(model, ts[:, None], xs)
+        return _monomial_power(model, t, x, model.k)
+    return _rescaled_derivative(model, t, x)
 
 
 def _at_point(many, model, t, x):
-    """The grid evaluator ``many`` at (t, x); FlowDomainError where it is NaN."""
-    value = float(many(model, [t], [x])[0, 0])
+    """The broadcasting evaluator ``many`` at (t, x), as one-element arrays;
+    FlowDomainError where it is NaN.  (At 0-d input numpy computes ** on its
+    scalars with libm's pow, which differs from the array loop in the last
+    bit at some points.)"""
+    value = float(many(model, [t], [x])[0])
     if isnan(value):
         raise FlowDomainError(
             f"(x={x}, t={t}) outside the domain of the order-{model.k} monomial flow"
@@ -290,23 +297,23 @@ def cocycle_delta(model, x, t):
     return _at_point(cocycle_delta_many, model, t, x)
 
 
-def cocycle_delta_many(model, ts, xs):
-    """Delta on the grid ts x xs, as ``cocycle_delta``; NaN off the domain."""
-    ts = np.asarray(ts, dtype=float)
-    xs = np.asarray(xs, dtype=float)
+def cocycle_delta_many(model, t, x):
+    """Delta for t and x broadcast together, as ``cocycle_delta``; NaN off
+    the domain."""
+    t = np.asarray(t, dtype=float)
+    x = np.asarray(x, dtype=float)
     if model.variant == MONOMIAL:
-        return _monomial_power(model, ts[:, None], xs, 1)
+        return _monomial_power(model, t, x, 1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        delta = flow_eval_many(model, ts, xs) / xs
-    delta[:, xs == 0.0] = _monomial_power(model, ts[:, None], 0.0, 1)
-    return delta
+        delta = flow_eval_many(model, t, x) / x
+    return np.where(x == 0.0, _monomial_power(model, t, 0.0, 1), delta)
 
 
 def beta_cocycle(model, x, t):
-    """beta(x, t) = (phi_t'(x))^(1/2) for x != 0, and 1 at x = 0."""
-    if x == 0.0:
-        return 1.0
-    return float(np.sqrt(flow_derivative(model, t, x)))
+    """beta(x, t) = (phi_t'(x))^(1/2) for x != 0, and 1 at x = 0, for x and t
+    broadcast together; NaN off the domain."""
+    x = np.asarray(x, dtype=float)
+    return np.where(x == 0.0, 1.0, np.sqrt(flow_derivative_many(model, t, x)))
 
 
 # ---------------------------------------------------------------------------

@@ -114,7 +114,7 @@ def convolve(f, g):
     dt = t_grid.step
     out = np.zeros((f.x_grid.count, t_grid.count), dtype=np.result_type(f.samples, g.samples))
 
-    warped = flow_eval_many(flow, g.t_grid.points, xs)  # (n_s, n_x), NaN off-domain
+    warped = flow_eval_many(flow, g.t_grid.points[:, None], xs)  # (n_s, n_x), NaN off-domain
     mass = np.abs(g.samples.T) > g.support_tol * max(g.sup_norm(), 1.0)  # (n_s, n_x)
     # f's t-columns outside c0:c1 are zero, so their spline is zero and they
     # would add exact zeros
@@ -149,7 +149,7 @@ def adjoint(f):
     xs = f.x_grid.points
     n_t = f.t_grid.count
     t_grid = GridSpec(-f.t_grid.end, f.t_grid.step, n_t)
-    warped = flow_eval_many(flow, t_grid.points, xs)  # (n_t, n_x)
+    warped = flow_eval_many(flow, t_grid.points[:, None], xs)  # (n_t, n_x)
 
     # f at (phi_tau(x), -tau); -tau is the mirrored on-grid column, so f's
     # nonzero columns c0:c1 fill the output times n_t - c1 : n_t - c0
@@ -167,7 +167,7 @@ def adjoint(f):
 
 def module_mult_left(a, g):
     """(a.g)(x,t) = a(phi_t(x)) g(x,t) for a callable a of the base coordinate."""
-    warped = flow_eval_many(g.flow, g.t_grid.points, g.x_grid.points)  # (n_t, n_x)
+    warped = flow_eval_many(g.flow, g.t_grid.points[:, None], g.x_grid.points)  # (n_t, n_x)
     a_vals = np.asarray(a(np.where(np.isnan(warped), 0.0, warped)))
     a_vals = np.where(np.isnan(warped), 0.0, a_vals)
     return GroupoidKernel(
@@ -185,7 +185,7 @@ def module_mult_right(g, a):
 
 def scale_by_delta(g):
     """Pointwise multiply by the cocycle Delta(x,t) = phi_t(x)/x (extended)."""
-    vals = cocycle_delta_many(g.flow, g.t_grid.points, g.x_grid.points).T  # (n_x, n_t)
+    vals = cocycle_delta_many(g.flow, g.t_grid.points[:, None], g.x_grid.points).T  # (n_x, n_t)
     vals = np.where(np.isnan(vals), 0.0, vals)
     return GroupoidKernel(g.flow, g.x_grid, g.t_grid, vals * g.samples, g.support_tol)
 

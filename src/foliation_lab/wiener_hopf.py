@@ -328,7 +328,7 @@ def flow_bi_index(model):
     """Bi-index read off the orbits of x = -0.1 and 0.1 at time 0.1: epsilon
     is +1 on a half-line whose orbit moves away from 0 and -1 on one whose
     orbit moves toward it (0 where the move is below rounding, from k = 16)."""
-    moved = np.abs(flow_eval_many(model, [0.1], [-0.1, 0.1])[0]) - 0.1
+    moved = np.abs(flow_eval_many(model, 0.1, [-0.1, 0.1])) - 0.1
     return FlowBiIndex(*np.sign(moved).astype(int).tolist())
 
 
@@ -359,7 +359,8 @@ def bi_index_report(model):
 class Diffeomorphism:
     """An orientation-preserving diffeomorphism of the line with u' >= floor,
     inverted numerically (a monotone table on [-60, 60], continued along u's
-    tangent lines at its ends, as the seed, then Newton polish)."""
+    tangent lines at its ends, as the seed, bisected back toward the table
+    where a convex u outruns its tangent, then Newton polish)."""
 
     def __init__(self, u, du):
         self.u = u
@@ -390,9 +391,21 @@ class Diffeomorphism:
         xs, us = self._xs, self._us
         # np.interp clamps to the table's ends; beyond them the seed follows
         # the tangent line there (a zero step inside the table)
-        x = np.interp(y, us, xs)
+        x = np.array(np.interp(y, us, xs))
         x += np.minimum(y - us[0], 0.0) / self.du(xs[0])
         x += np.maximum(y - us[-1], 0.0) / self.du(xs[-1])
+        # a convex u outruns that tangent line, so far beyond the table the
+        # seed sits far above the root, where Newton's steps are too short;
+        # bisect between the table's end and the seed to a Newton-ready one
+        over = np.flatnonzero(y > us[-1])
+        over = over[np.asarray(self.u(x.flat[over]), dtype=float) > y.flat[over]]
+        if over.size:
+            lo, hi, target = np.full(over.size, xs[-1]), x.flat[over], y.flat[over]
+            while np.any(hi - lo > 1e-6 * (1.0 + np.abs(hi))):
+                mid = 0.5 * (lo + hi)
+                above = np.asarray(self.u(mid), dtype=float) >= target
+                lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+            x.flat[over] = hi
         for _ in range(4):
             x = x - (np.asarray(self.u(x), dtype=float) - y) / np.asarray(self.du(x), dtype=float)
         miss = np.abs(np.asarray(self.u(x), dtype=float) - y)

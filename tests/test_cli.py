@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from foliation_lab import cli
+from foliation_lab import cli, flow
 from foliation_lab.cli import DEFAULT_CONFIG, SUITES, load_config, main, run_suite
 from foliation_lab.flow import FlowModel
 
@@ -67,16 +67,29 @@ def test_unreadable_config_is_usage_error(tmp_path, capsys):
     assert "cannot read config file" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("out", ["reports", "missing/r.json"])
-def test_unwritable_report_path_is_usage_error(tmp_path, capsys, out):
-    # a directory, or a path whose parent does not exist: refused before any
-    # check runs, with no temp file left behind
+@pytest.mark.parametrize("out", ["reports", "missing/r.json", "r" * 300 + ".json"])
+def test_unwritable_report_path_is_usage_error(tmp_path, capsys, out, monkeypatch):
+    # a directory, a path whose parent does not exist, or a file name too
+    # long for the file system: refused before any check runs, with no temp
+    # file left behind
     (tmp_path / "reports").mkdir()
+    monkeypatch.setitem(SUITES, "classify", lambda cfg: pytest.fail("a check ran"))
     code = main(["classify", "--out", str(tmp_path / out)])
     assert code == 2
     assert "cannot write report" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.tmp.*"))
     assert not (tmp_path / "missing").exists()
+
+
+def test_unwritable_norm_table_path_is_usage_error(tmp_path, capsys, monkeypatch):
+    # demo-nonpreservation also writes <out stem>_norms.csv; a directory
+    # there is refused before any check runs, and no report is written
+    (tmp_path / "demo_norms.csv").mkdir()
+    monkeypatch.setitem(SUITES, "demo-nonpreservation", lambda cfg: pytest.fail("a check ran"))
+    code = main(["demo-nonpreservation", "--out", str(tmp_path / "demo.json")])
+    assert code == 2
+    assert "demo_norms.csv" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["demo_norms.csv"]
 
 
 def test_failed_atomic_write_removes_its_temp_file(tmp_path):
@@ -384,6 +397,66 @@ def test_contact_order_fails_when_the_variants_agree(k):
     record = check()
     assert record["name"] == "monomial_vs_rescaled_contact_order"
     assert math.isnan(record["measured"]) and record["status"] == "fail"
+
+
+def _composable_loop(model, rng, count, draw_x, rejected):
+    """The one-arrow-at-a-time loop: each candidate is tested in full, y
+    included, before the next is drawn; rejected counts each test's refusals."""
+    done = 0
+    while done < count:
+        x = draw_x(rng)
+        t = float(rng.uniform(-0.5, 0.5))
+        s = float(rng.uniform(-0.5, 0.5))
+        if not (model.in_domain(s, x) and model.in_domain(t + s, x)):
+            rejected[0] += 1
+            continue
+        y = flow.flow_eval(model, s, x)
+        if model.in_domain(t, y):
+            done += 1
+            yield x, t, s, y
+        else:
+            rejected[1] += 1
+
+
+def _wide(rng):
+    return float(rng.uniform(-3.0, 3.0))
+
+
+class _Fenced(FlowModel):
+    """A flow whose domain is also cut at |x| <= 0.3: phi_s(x) can leave it
+    after x has passed, so the test on y refuses candidates too (on a flow's
+    own domain it refuses none, as orbits are intervals in time)."""
+
+    def in_domain(self, t, x):
+        return super().in_domain(t, x) & (np.abs(x) <= 0.3)
+
+
+@pytest.mark.parametrize(
+    "model,draw_x,refusing",
+    [
+        (FlowModel(2), cli._near_zero, None),
+        (FlowModel(2), cli._off_zero, None),
+        (FlowModel(2), _wide, 0),
+        (FlowModel(3), _wide, 0),
+        (_Fenced(2), cli._near_zero, 1),
+        (_Fenced(1, flow.COMPLETE_RESCALED), cli._off_zero, 1),
+        (FlowModel(1, flow.COMPLETE_RESCALED), cli._near_zero, None),
+        (FlowModel(2, flow.COMPLETE_RESCALED), cli._off_zero, None),
+        (FlowModel(5, flow.COMPLETE_RESCALED), _wide, None),
+    ],
+)
+def test_composable_batches_copy_the_one_at_a_time_loop(model, draw_x, refusing):
+    # the same samples, bit for bit, and the same generator state after;
+    # refusing names the test (0: on x, 1: on y) that must refuse candidates
+    rng, loop_rng = np.random.default_rng(11), np.random.default_rng(11)
+    rejected = [0, 0]
+    want = np.array(list(_composable_loop(model, loop_rng, 40, draw_x, rejected))).T
+    got = cli._composable(model, rng, 40, draw_x)
+    assert got.shape == (4, 40)
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == loop_rng.bit_generator.state
+    if refusing is not None:
+        assert rejected[refusing] > 0
 
 
 def test_raising_steep_warp_is_named_and_writes_no_csv(tmp_path, monkeypatch):

@@ -22,7 +22,10 @@ from foliation_lab.coeff_ring import (
     RepresentationMismatchError,
     _bump,
     _bump_series,
+    _RAMP_81,
+    _RAMP_4001,
     _fft_convolve,
+    _linspace,
     _spline_coeffs,
     _spline_horner,
     _spline_locate,
@@ -250,6 +253,21 @@ def test_evaluator_matches_atom_loop_bitwise(name):
         assert f.sup_norm().hex() == _sup_norm_loop(f).hex()
         real = all(isinstance(c, float) for a in f.atoms for c in a.poly)
         assert f(ts).dtype == (np.float64 if real else np.complex128)
+
+
+def test_sup_norm_grids_match_np_linspace_bit_for_bit():
+    # sup_norm's 4,001- and 81-point grids on their prebuilt ramps, for
+    # windows of every scale, from support windows down to refinement steps a
+    # few ulps wide, and a window of one point
+    rng = np.random.default_rng(3030)
+    centers = rng.uniform(-40.0, 40.0, 400) * 10.0 ** rng.uniform(-3.0, 1.0, 400)
+    widths = rng.uniform(0.0, 10.0, 400) * 10.0 ** rng.uniform(-14.0, 1.0, 400)
+    windows = [(c - w / 2, c + w / 2) for c, w in zip(centers, widths)] + [(2.5, 2.5)]
+    for lo, hi in windows:
+        lo, hi = np.float64(lo), np.float64(hi)
+        for ramp in (_RAMP_4001, _RAMP_81):
+            got, want = _linspace(ramp, lo, hi), np.linspace(lo, hi, ramp.size)
+            assert got.tobytes() == want.tobytes()
 
 
 def test_edge_cases_put_the_coarse_argmax_at_the_window_ends():

@@ -229,7 +229,7 @@ def test_grid_evaluation_is_nan_exactly_off_the_domain(k, variant, time_reversed
     off = ~model.in_domain(ts[:, None], xs)
     assert np.any(off) == (variant == MONOMIAL and k > 1)
     for many in (flow_eval_many, flow_derivative_many, cocycle_delta_many):
-        assert np.array_equal(np.isnan(many(model, ts, xs)), off)
+        assert np.array_equal(np.isnan(many(model, ts[:, None], xs)), off)
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -251,13 +251,41 @@ def test_scalar_values_raise_exactly_off_the_domain(k, variant, time_reversed):
         (cocycle_delta_many, lambda model, t, x: cocycle_delta(model, x, t)),
     )
     for many, scalar in cases:
-        grid = many(model, ts, xs)
+        grid = many(model, ts[:, None], xs)
         for (i, j), outside in np.ndenumerate(off):
             if outside:
                 with pytest.raises(FlowDomainError):
                     scalar(model, ts[i], xs[j])
             else:
                 assert scalar(model, ts[i], xs[j]) == grid[i, j]
+
+
+BROADCAST_EVALUATORS = (
+    flow_eval_many,
+    flow_derivative_many,
+    cocycle_delta_many,
+    lambda model, t, x: beta_cocycle(model, x, t),
+)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("variant", [MONOMIAL, COMPLETE_RESCALED])
+@pytest.mark.parametrize("time_reversed", [False, True])
+def test_broadcast_evaluators_match_per_point_calls_bit_for_bit(k, variant, time_reversed):
+    # a grid, its transpose and the flat list of its pairs give each point's
+    # one-point value as float.hex, NaN exactly off the domain included
+    model = FlowModel(k, variant, time_reversed)
+    xs = np.array([-1.25, -0.5, -0.05, 0.0, 0.3, 0.75, 1.25])
+    ts = np.concatenate([[-2.0, -0.35, 0.0, 0.6, 2.0], _boundary_times(k)])
+    tt, xx = np.meshgrid(ts, xs, indexing="ij")
+    hexes = np.vectorize(float.hex)
+    for many in BROADCAST_EVALUATORS:
+        per_point = np.array([[many(model, [t], [x])[0] for x in xs] for t in ts])
+        assert np.array_equal(np.isnan(per_point), ~model.in_domain(tt, xx))
+        want = hexes(per_point)
+        assert np.array_equal(hexes(many(model, ts[:, None], xs)), want)
+        assert np.array_equal(hexes(many(model, ts, xs[:, None]).T), want)
+        assert np.array_equal(hexes(many(model, tt.ravel(), xx.ravel())).reshape(want.shape), want)
 
 
 def test_flow_derivative_closed_forms():
@@ -342,7 +370,7 @@ def test_rescaled_flow_matches_dop853(rng, k, time_reversed):
     xs = rng.uniform(0.01, 2.0, 12) * rng.choice([-1.0, 1.0], 12)
     ts = np.sort(np.concatenate([rng.uniform(-3.0, 3.0, 9), [-3.0, 3.0]]))
     want = dop853_flow(k, -1.0 if time_reversed else 1.0, ts, xs)
-    got = flow_eval_many(model, ts, xs)
+    got = flow_eval_many(model, ts[:, None], xs)
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
     for i, j in ((0, 0), (3, 5), (ts.size - 1, xs.size - 1)):
         assert abs(flow_eval(model, ts[i], xs[j]) - want[i, j]) <= 1e-10 * abs(want[i, j])

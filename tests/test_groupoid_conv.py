@@ -35,7 +35,7 @@ def separable_pair(model):
 
 def quad_convolution_oracle(model, f_fn, g_fn, x, t, s_lo=-0.5, s_hi=0.5, n=4001):
     s = np.linspace(s_lo, s_hi, n)
-    phis = flow_eval_many(model, s, np.array([x]))[:, 0]
+    phis = flow_eval_many(model, s, x)
     vals = f_fn(phis, t - s) * g_fn(np.full_like(s, x), s)
     return np.trapezoid(vals, s)
 
@@ -134,7 +134,7 @@ def adjoint_column_loop(f):
     """The adjoint column by column: the full x-interpolant at each output
     time, of which only the mirrored column is kept."""
     t_grid = GridSpec(-f.t_grid.end, f.t_grid.step, f.t_grid.count)
-    warped = flow_eval_many(f.flow, t_grid.points, f.x_grid.points)
+    warped = flow_eval_many(f.flow, t_grid.points[:, None], f.x_grid.points)
     from scipy.interpolate import CubicSpline  # the oracle; the package does not load scipy
 
     spline = CubicSpline(f.x_grid.points, f.samples, axis=0, extrapolate=False)  # NaN off the window
@@ -165,7 +165,7 @@ def test_adjoint_matches_column_loop(k, complex_kernel):
         t_step=0.05,
     )
     assert np.iscomplexobj(f.samples) == complex_kernel
-    warped = flow_eval_many(model, f.t_grid.points, f.x_grid.points)
+    warped = flow_eval_many(model, f.t_grid.points[:, None], f.x_grid.points)
     assert np.any(warped > f.x_grid.end)
     assert np.any(np.isnan(warped)) == (k >= 2)
     # at t = 0 the warped point is the window end itself
@@ -194,7 +194,7 @@ def convolve_column_loop(f, g):
     indexing, an interval lookup per node, and the spline of every t-column
     of f, zero or not."""
     xs = f.x_grid.points
-    warped = flow_eval_many(f.flow, g.t_grid.points, xs)
+    warped = flow_eval_many(f.flow, g.t_grid.points[:, None], xs)
     tol = g.support_tol * max(g.sup_norm(), 1.0)
     c = _spline_coeffs(xs, f.samples)
     trap_w = np.ones(g.t_grid.count)
