@@ -426,7 +426,7 @@ def suite_verify_flow(cfg):
             model = FlowModel(k)
             x, t, s, y = _composable(model, rng, 30, _off_zero)
             beta = functools.partial(flow.beta_cocycle, model)
-            yield from np.abs(beta(x, t + s) - beta(y, t) * beta(x, s)).tolist()
+            yield from np.abs(beta(t + s, x) - beta(t, y) * beta(s, x)).tolist()
 
     @_check(
         "monomial_vs_rescaled_contact_order",

@@ -284,9 +284,6 @@ class GridFn:
         grid = self.grid.convolved(other.grid)
         return GridFn(grid, _fft_convolve(self.samples, other.samples) * grid.step)
 
-    def __repr__(self):
-        return f"GridFn(grid={tuple(self.grid)})"
-
 
 # ---------------------------------------------------------------------------
 # exact representation
@@ -455,9 +452,6 @@ class GaussPolyFn:
     def zero(cls):
         return cls(())
 
-    def is_zero(self):
-        return not self.atoms
-
     def __call__(self, t):
         """Values at t (``_values``); real atoms give ``float64``, scalar t a scalar."""
         if not self.atoms:
@@ -586,9 +580,6 @@ class GaussPolyFn:
             lo = local[max(j - 2, 0)]
             hi = local[min(j + 2, 80)]
         return best
-
-    def __repr__(self):
-        return f"GaussPolyFn(n_atoms={len(self.atoms)})"
 
 
 # the sample counts of GaussPolyFn.sup_norm's search, as ramps 0, 1, ..., n - 1

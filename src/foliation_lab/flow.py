@@ -13,21 +13,21 @@ Two variants are supported:
     agrees with the monomial field near 0 and has sublinear growth.  Its flow
     is the inverse of the exact time map: phi_t(x) solves
     T(phi_t(x)) = T(x) + t with T' = 1/v, which has a closed form for every
-    k, inverted by Newton's method in log|x|.  The spatial derivative is
-    v(phi_t(x)) / v(x).
+    k, inverted by Newton's method in log|x|.  Only its flow is evaluated;
+    the derivative and the cocycles raise ValueError for it.
 
 The module also provides the Taylor coefficients phi_m^n (coefficient of x^m
 in (phi_t(x))^n), one cached ``FlowCoeff`` per (k, n, m) from the closed form
-in ``taylor_coeff``, the multiplicative cocycles
-``cocycle_delta`` (phi_t(x)/x, smoothly extended through x = 0) and
+in ``taylor_coeff``, the multiplicative cocycles of the monomial flow
+``cocycle_delta_many`` (phi_t(x)/x, smoothly extended through x = 0) and
 ``beta_cocycle`` ((phi_t'(x))^(1/2) for x != 0, and 1 on the isotropy line
 x = 0 -- note the x = 0 value makes beta discontinuous when k = 1, where
 phi_t' = e^t everywhere; the case split is deliberate, not smoothed), and
 residual checks for the composition and cocycle identities satisfied by the
-phi_m^n.  The ``*_many`` evaluators take t and x broadcast together (a grid
-is ``ts[:, None]`` against ``xs``) and are NaN exactly where ``in_domain``
-fails; a scalar value is its evaluator at one point, where that NaN raises
-FlowDomainError.
+phi_m^n.  Every flow evaluator takes (model, t, x), with t and x broadcast
+together (a grid is ``ts[:, None]`` against ``xs``), and is NaN exactly where
+``in_domain`` fails; ``flow_eval`` is ``flow_eval_many`` at one point, where
+that NaN raises FlowDomainError.
 """
 
 from __future__ import annotations
@@ -74,15 +74,6 @@ class FlowModel:
     @property
     def sign(self):
         return -1.0 if self.time_reversed else 1.0
-
-    def vector_field(self, x):
-        """Value of the generating field at x."""
-        x = np.asarray(x, dtype=float)
-        if self.variant == MONOMIAL:
-            v = x**self.k
-        else:
-            v = x**self.k * (1.0 + x * x) ** (-(self.k - 1) / 2.0)
-        return self.sign * v
 
     def in_domain(self, t, x):
         """Vectorized admissibility predicate for (x, t)."""
@@ -172,14 +163,6 @@ def _rescaled_flow(model, t, x):
     return out
 
 
-def _rescaled_derivative(model, t, x):
-    """d phi_t/dx = v(phi_t(x)) / v(x) of the rescaled field; at the fixed
-    point x = 0 it is e^t for k = 1 and 1 for k >= 2."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        d = model.vector_field(_rescaled_flow(model, t, x)) / model.vector_field(x)
-    return np.where(x == 0.0, _monomial_power(model, t, 0.0, model.k), d)
-
-
 def solve_ivp(*args, **kwargs):
     """``scipy.integrate.solve_ivp``, imported on first call.
 
@@ -202,36 +185,27 @@ def flow_eval_many(model, t, x):
 
 
 def flow_derivative_many(model, t, x):
-    """d phi_t / dx for t and x broadcast together; NaN exactly where
-    ``in_domain`` fails."""
+    """d phi_t / dx of the monomial flow for t and x broadcast together; NaN
+    exactly where ``in_domain`` fails."""
+    if model.variant != MONOMIAL:
+        raise ValueError(f"no derivative of the {model.variant} flow; it is the monomial flow's")
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
-    if model.variant == MONOMIAL:
-        return _monomial_power(model, t, x, model.k)
-    return _rescaled_derivative(model, t, x)
+    return _monomial_power(model, t, x, model.k)
 
 
-def _at_point(many, model, t, x):
-    """The broadcasting evaluator ``many`` at (t, x), as one-element arrays;
-    FlowDomainError where it is NaN.  (At 0-d input numpy computes ** on its
-    scalars with libm's pow, which differs from the array loop in the last
-    bit at some points.)"""
-    value = float(many(model, [t], [x])[0])
+def flow_eval(model, t, x):
+    """phi_t(x) for a scalar pair; raises FlowDomainError outside the domain.
+
+    It is ``flow_eval_many`` at one-element arrays: at 0-d input numpy
+    computes ** on its scalars with libm's pow, which differs from the array
+    loop in the last bit at some points."""
+    value = float(flow_eval_many(model, [t], [x])[0])
     if isnan(value):
         raise FlowDomainError(
             f"(x={x}, t={t}) outside the domain of the order-{model.k} monomial flow"
         )
     return value
-
-
-def flow_eval(model, t, x):
-    """phi_t(x) for a scalar pair; raises FlowDomainError outside the domain."""
-    return _at_point(flow_eval_many, model, t, x)
-
-
-def flow_derivative(model, t, x):
-    """Spatial derivative d phi_t / dx at (t, x)."""
-    return _at_point(flow_derivative_many, model, t, x)
 
 
 # ---------------------------------------------------------------------------
@@ -285,32 +259,19 @@ def taylor_coeff(k, n, m):
 # ---------------------------------------------------------------------------
 
 
-def cocycle_delta(model, x, t):
-    """Delta(x, t) = phi_t(x)/x for x != 0, extended smoothly through x = 0;
-    ``cocycle_delta_many`` at one point, so FlowDomainError off the domain.
-
-    For the monomial flow the extension is (1 - (k-1) t x^(k-1))^(-1/(k-1))
-    (e^t when k = 1); for the rescaled field it is
-    (h(x)/h(phi_t(x)) * phi_t'(x))^(1/k) with h the rescaling factor, which
-    at x = 0 takes the monomial value since h(0) = 1.
-    """
-    return _at_point(cocycle_delta_many, model, t, x)
-
-
 def cocycle_delta_many(model, t, x):
-    """Delta for t and x broadcast together, as ``cocycle_delta``; NaN off
-    the domain."""
+    """Delta(x, t) = phi_t(x)/x of the monomial flow for t and x broadcast
+    together, extended smoothly through x = 0 as
+    (1 - (k-1) t x^(k-1))^(-1/(k-1)) (e^t when k = 1); NaN off the domain."""
+    if model.variant != MONOMIAL:
+        raise ValueError(f"no Delta of the {model.variant} flow; it is the monomial flow's")
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
-    if model.variant == MONOMIAL:
-        return _monomial_power(model, t, x, 1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        delta = flow_eval_many(model, t, x) / x
-    return np.where(x == 0.0, _monomial_power(model, t, 0.0, 1), delta)
+    return _monomial_power(model, t, x, 1)
 
 
-def beta_cocycle(model, x, t):
-    """beta(x, t) = (phi_t'(x))^(1/2) for x != 0, and 1 at x = 0, for x and t
+def beta_cocycle(model, t, x):
+    """beta(x, t) = (phi_t'(x))^(1/2) for x != 0, and 1 at x = 0, for t and x
     broadcast together; NaN off the domain."""
     x = np.asarray(x, dtype=float)
     return np.where(x == 0.0, 1.0, np.sqrt(flow_derivative_many(model, t, x)))

@@ -79,9 +79,6 @@ class Jet:
         if self.p != other.p:
             raise ValueError(f"truncation order mismatch: p={self.p} vs p={other.p}")
 
-    def __repr__(self):
-        return f"Jet(k={self.k}, p={self.p})"
-
 
 def _twist_terms(k, n, q, g):
     """The nonzero phi_m^n . g_(q-m) for n <= m <= q, in order of m."""

@@ -378,10 +378,11 @@ class Diffeomorphism:
 
     @classmethod
     def exp_stretch(cls):
-        """u(x) = x + e^x: smooth, u' = 1 + e^x >= 1, u' -> infinity."""
+        """u(x) = x + e^x: smooth, u' = 1 + e^x >= 1, u' -> infinity.  The
+        exponent is clamped at 700, short of overflow, so beyond it u' is 1."""
         return cls(
             lambda x: np.asarray(x, dtype=float) + np.exp(np.minimum(np.asarray(x, dtype=float), 700.0)),
-            lambda x: 1.0 + np.exp(np.minimum(np.asarray(x, dtype=float), 700.0)),
+            lambda x: np.where(np.asarray(x) < 700.0, 1.0 + np.exp(np.minimum(x, 700.0)), 1.0),
         )
 
     def inverse(self, y):

@@ -22,9 +22,7 @@ from foliation_lab.flow import (
     beta_cocycle,
     check_cocycle_identity,
     check_composition_identity,
-    cocycle_delta,
     cocycle_delta_many,
-    flow_derivative,
     flow_derivative_many,
     flow_eval,
     flow_eval_many,
@@ -198,14 +196,14 @@ def test_flow_identity_at_time_zero():
     for model in (FlowModel(1), FlowModel(3), FlowModel(2, COMPLETE_RESCALED)):
         for x in (-0.7, 0.0, 0.3):
             assert flow_eval(model, 0.0, x) == pytest.approx(x, abs=1e-12)
-            assert flow_derivative(model, 0.0, x) == pytest.approx(1.0, abs=1e-9)
+            if model.variant == MONOMIAL:
+                assert flow_derivative_many(model, [0.0], [x])[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_flow_domain_error():
     with pytest.raises(FlowDomainError):
         flow_eval(FlowModel(2), 1.0, 1.0)
-    with pytest.raises(FlowDomainError):
-        flow_derivative(FlowModel(3), 2.0, 1.0)
+    assert np.isnan(flow_derivative_many(FlowModel(3), [2.0], [1.0])[0])
 
 
 def _boundary_times(k):
@@ -218,6 +216,14 @@ def _boundary_times(k):
     return np.concatenate([ts, -ts])
 
 
+def _evaluators(variant):
+    """The broadcasting evaluators defined for the variant: the derivative
+    and the cocycles are the monomial flow's only."""
+    if variant == MONOMIAL:
+        return (flow_eval_many, flow_derivative_many, cocycle_delta_many, beta_cocycle)
+    return (flow_eval_many,)
+
+
 @pytest.mark.parametrize("k", range(1, 7))
 @pytest.mark.parametrize("variant", [MONOMIAL, COMPLETE_RESCALED])
 @pytest.mark.parametrize("time_reversed", [False, True])
@@ -228,7 +234,7 @@ def test_grid_evaluation_is_nan_exactly_off_the_domain(k, variant, time_reversed
     ts = np.concatenate([np.arange(-16, 17) / 8.0, _boundary_times(k)])
     off = ~model.in_domain(ts[:, None], xs)
     assert np.any(off) == (variant == MONOMIAL and k > 1)
-    for many in (flow_eval_many, flow_derivative_many, cocycle_delta_many):
+    for many in _evaluators(variant):
         assert np.array_equal(np.isnan(many(model, ts[:, None], xs)), off)
 
 
@@ -236,7 +242,7 @@ def test_grid_evaluation_is_nan_exactly_off_the_domain(k, variant, time_reversed
 @pytest.mark.parametrize("variant", [MONOMIAL, COMPLETE_RESCALED])
 @pytest.mark.parametrize("time_reversed", [False, True])
 def test_scalar_values_raise_exactly_off_the_domain(k, variant, time_reversed):
-    # each scalar value is its grid evaluator at the one point: it raises
+    # a scalar flow value is its grid evaluator at the one point: it raises
     # FlowDomainError exactly where in_domain fails, so never for finite
     # input to the rescaled field or for k = 1, and returns the grid value
     # everywhere else
@@ -245,27 +251,13 @@ def test_scalar_values_raise_exactly_off_the_domain(k, variant, time_reversed):
     ts = np.concatenate([[-2.0, 2.0], _boundary_times(k)])
     off = ~model.in_domain(ts[:, None], xs)
     assert np.any(off) == (variant == MONOMIAL and k > 1)
-    cases = (
-        (flow_eval_many, flow_eval),
-        (flow_derivative_many, flow_derivative),
-        (cocycle_delta_many, lambda model, t, x: cocycle_delta(model, x, t)),
-    )
-    for many, scalar in cases:
-        grid = many(model, ts[:, None], xs)
-        for (i, j), outside in np.ndenumerate(off):
-            if outside:
-                with pytest.raises(FlowDomainError):
-                    scalar(model, ts[i], xs[j])
-            else:
-                assert scalar(model, ts[i], xs[j]) == grid[i, j]
-
-
-BROADCAST_EVALUATORS = (
-    flow_eval_many,
-    flow_derivative_many,
-    cocycle_delta_many,
-    lambda model, t, x: beta_cocycle(model, x, t),
-)
+    grid = flow_eval_many(model, ts[:, None], xs)
+    for (i, j), outside in np.ndenumerate(off):
+        if outside:
+            with pytest.raises(FlowDomainError):
+                flow_eval(model, ts[i], xs[j])
+        else:
+            assert flow_eval(model, ts[i], xs[j]) == grid[i, j]
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -279,7 +271,7 @@ def test_broadcast_evaluators_match_per_point_calls_bit_for_bit(k, variant, time
     ts = np.concatenate([[-2.0, -0.35, 0.0, 0.6, 2.0], _boundary_times(k)])
     tt, xx = np.meshgrid(ts, xs, indexing="ij")
     hexes = np.vectorize(float.hex)
-    for many in BROADCAST_EVALUATORS:
+    for many in _evaluators(variant):
         per_point = np.array([[many(model, [t], [x])[0] for x in xs] for t in ts])
         assert np.array_equal(np.isnan(per_point), ~model.in_domain(tt, xx))
         want = hexes(per_point)
@@ -289,8 +281,9 @@ def test_broadcast_evaluators_match_per_point_calls_bit_for_bit(k, variant, time
 
 
 def test_flow_derivative_closed_forms():
-    assert flow_derivative(FlowModel(1), 0.7, 0.3) == pytest.approx(np.exp(0.7), rel=1e-13)
-    assert flow_derivative(FlowModel(2), 1.0, 0.5) == pytest.approx(4.0, rel=1e-13)
+    got = flow_derivative_many(FlowModel(1), [0.7], [0.3])[0]
+    assert got == pytest.approx(np.exp(0.7), rel=1e-13)
+    assert flow_derivative_many(FlowModel(2), [1.0], [0.5])[0] == pytest.approx(4.0, rel=1e-13)
 
 
 def test_flow_group_law_both_variants(rng):
@@ -329,7 +322,6 @@ def test_time_reversed_model():
     fwd = FlowModel(2)
     rev = FlowModel(2, time_reversed=True)
     assert flow_eval(rev, 0.5, 0.3) == pytest.approx(flow_eval(fwd, -0.5, 0.3), rel=1e-13)
-    assert rev.vector_field(0.3) == -fwd.vector_field(0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -387,25 +379,6 @@ def test_rescaled_flow_matches_mpmath_ode(k, x, t):
         want = mp.odefun(field, 0, mp.mpf(x))(mp.mpf(abs(t)))
         err = abs((flow_eval(FlowModel(k, COMPLETE_RESCALED), t, x) - want) / want)
     assert err <= 1e-13
-
-
-@pytest.mark.parametrize("k", [1, 2, 3, 6])
-def test_rescaled_derivative_matches_variational_ode(k):
-    model = FlowModel(k, COMPLETE_RESCALED)
-    field = rescaled_field(k, 1.0)
-
-    def rhs(s, y):
-        x, w = y
-        # d/dx of x^k (1+x^2)^(-(k-1)/2), then the variational equation w' = v'(x) w
-        dv = (1.0 + x * x) ** (-(k + 1) / 2.0) * (k * x ** (k - 1) + x ** (k + 1))
-        return [field(s, x), dv * w]
-
-    for x, t in ((0.4, 1.5), (-1.2, -2.0), (1.9, 0.7), (-0.05, 2.5)):
-        sol = flow.solve_ivp(rhs, (0.0, t), [x, 1.0], method="DOP853", rtol=1e-12, atol=1e-300)
-        want = sol.y[1, -1]
-        assert abs(flow_derivative(model, t, x) - want) <= 1e-9 * abs(want)
-    # at the fixed point the variational equation is w' = v'(0) w
-    assert flow_derivative(model, 0.8, 0.0) == (np.exp(0.8) if k == 1 else 1.0)
 
 
 def test_rescaled_flow_raises_at_nan_within_the_step_bound(monkeypatch):
@@ -520,19 +493,16 @@ def test_cocycle_identity_broadcasts_and_returns_float():
 def test_cocycle_delta_values():
     m = FlowModel(2)
     x, t = 0.4, 0.9
-    assert cocycle_delta(m, x, t) == pytest.approx(flow_eval(m, t, x) / x, rel=1e-13)
-    assert cocycle_delta(m, x, 0.0) == 1.0
-    assert cocycle_delta(m, 0.0, 1.7) == 1.0  # smooth extension through x = 0
-    assert cocycle_delta(FlowModel(1), 0.0, 0.5) == pytest.approx(np.exp(0.5))
-    r = FlowModel(2, COMPLETE_RESCALED)
-    assert cocycle_delta(r, 0.0, 1.7) == 1.0
-    assert cocycle_delta(r, 0.3, 0.5) == pytest.approx(flow_eval(r, 0.5, 0.3) / 0.3, rel=1e-9)
+    assert cocycle_delta_many(m, [t], [x])[0] == pytest.approx(flow_eval(m, t, x) / x, rel=1e-13)
+    assert cocycle_delta_many(m, [0.0], [x])[0] == 1.0
+    assert cocycle_delta_many(m, [1.7], [0.0])[0] == 1.0  # smooth extension through x = 0
+    assert cocycle_delta_many(FlowModel(1), [0.5], [0.0])[0] == pytest.approx(np.exp(0.5))
 
 
 def test_beta_cocycle_values_and_multiplicativity(rng):
-    assert beta_cocycle(FlowModel(3), 0.2, 0.0) == 1.0
-    assert beta_cocycle(FlowModel(2), 0.5, 1.0) == pytest.approx(2.0, rel=1e-13)
-    assert beta_cocycle(FlowModel(1), 0.0, 5.0) == 1.0  # the case split at x = 0
+    assert beta_cocycle(FlowModel(3), [0.0], [0.2])[0] == 1.0
+    assert beta_cocycle(FlowModel(2), [1.0], [0.5])[0] == pytest.approx(2.0, rel=1e-13)
+    assert beta_cocycle(FlowModel(1), [5.0], [0.0])[0] == 1.0  # the case split at x = 0
     for k in (1, 2, 3):
         model = FlowModel(k)
         done = 0
@@ -545,7 +515,7 @@ def test_beta_cocycle_values_and_multiplicativity(rng):
             y = flow_eval(model, s, x)
             if y == 0.0 or not model.in_domain(t, y):
                 continue
-            lhs = beta_cocycle(model, x, t + s)
-            rhs = beta_cocycle(model, y, t) * beta_cocycle(model, x, s)
+            lhs = beta_cocycle(model, [t + s], [x])[0]
+            rhs = beta_cocycle(model, [t], [y])[0] * beta_cocycle(model, [s], [x])[0]
             assert abs(lhs - rhs) <= 1e-10
             done += 1

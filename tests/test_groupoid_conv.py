@@ -10,7 +10,15 @@ import pytest
 
 from conftest import make_kernel, mollifier, plateau
 from foliation_lab.coeff_ring import GaussPolyFn, GridSpec, _spline_coeffs
-from foliation_lab.flow import COMPLETE_RESCALED, FlowDomainError, FlowModel, flow_eval_many
+from foliation_lab.flow import (
+    COMPLETE_RESCALED,
+    FlowDomainError,
+    FlowModel,
+    beta_cocycle,
+    cocycle_delta_many,
+    flow_derivative_many,
+    flow_eval_many,
+)
 from foliation_lab.groupoid_conv import (
     DERIVED_SUPPORT_TOL,
     GroupoidKernel,
@@ -515,3 +523,14 @@ def test_rescaled_variant_convolves():
     )
     gg = convolve(g, g)
     assert np.max(np.abs(fg.samples - gg.samples)) <= 1e-3 * gg.sup_norm()
+
+
+def test_rescaled_derivative_and_cocycles_raise():
+    # they are the monomial flow's only; a silent monomial value would be wrong
+    model = FlowModel(2, COMPLETE_RESCALED)
+    for evaluator in (flow_derivative_many, cocycle_delta_many, beta_cocycle):
+        with pytest.raises(ValueError, match="complete_rescaled"):
+            evaluator(model, [0.5], [0.3])
+    f = make_kernel(model, lambda X, T: mollifier(X, 0.3) * mollifier(T, 0.4), x_step=0.01)
+    with pytest.raises(ValueError, match="complete_rescaled"):
+        scale_by_delta(f)
