@@ -443,17 +443,21 @@ def test_diffeomorphism_inverse_beyond_table():
     assert u.inverse(u.u(65.0)) == pytest.approx(65.0, rel=1e-12)
 
 
-def test_exp_stretch_inverts_beyond_its_exponent_clamp():
+def test_exp_stretch_slope_is_one_beyond_its_exponent_clamp():
     # u clamps its exponent at 700, so beyond it u's slope is 1; a du that
     # kept 1 + e^700 there stalled Newton above u(700) ~ 1.01e304
     u = Diffeomorphism.exp_stretch()
     assert u.du(701.0) == 1.0
     assert u.du(699.0) == 1.0 + np.exp(699.0)
-    for y in (1e30, 1e304, 2e304, 1.7e308):
-        x = u.inverse(y)
-        assert abs(u.u(x) - y) <= 1e-9 * (1.0 + y), y
     assert u.inverse(1e304) < 700.0
     assert u.inverse(2e304) == pytest.approx(2e304 - np.exp(700.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("y", [1e30, 1e304, 2e304, 1.7e308])
+def test_exp_stretch_inverts_beyond_its_exponent_clamp(y):
+    u = Diffeomorphism.exp_stretch()
+    x = u.inverse(y)
+    assert abs(u.u(x) - y) <= 1e-9 * (1.0 + y)
 
 
 def test_demo_rejects_bad_warp():
