@@ -3,25 +3,25 @@
     foliation-lab <suite> [--config cfg.json] [--out report.json]
                   [--override key=value ...]
 
-Each suite writes a JSON report with one record per check:
-``{name, anchor, status, measured, tolerance}`` where ``anchor`` names the
-claim the check validates (or "plumbing" for artifact-internal checks).  A
+``run_suite`` runs a suite and returns its report, with one record per
+check: ``{name, anchor, status, measured, tolerance}`` where ``anchor``
+names the claim the check validates (or "plumbing" for artifact-internal
+checks); a check that has a table to show sets ``record["data"]``.  A
 check that raises becomes a record with status "error", the check
 function's name, null ``measured``/``tolerance`` and ``error`` set to
-"<ExceptionType>: <message>"; the other checks still run.  The report is
-always written.  Exit status: 0 if every check passed, 1 if a check failed
-(whether or not another errored), 3 if a check errored and none failed,
-2 on a bad or missing config.
+"<ExceptionType>: <message>"; the other checks still run.  ``main`` writes
+the report, the one file a run writes, whatever the checks did.  Exit
+status: 0 if every check passed, 1 if a check failed (whether or not
+another errored), 3 if a check errored and none failed, 2 on a bad or
+missing config or a report path that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import errno
 import functools
-import io
 import json
 import math
 import os
@@ -713,8 +713,9 @@ def suite_demo_nonpreservation(cfg):
         tail_ok = all(r["norm"] >= a / 2 for r in recs[2:])
         monotone = all(sups[i + 1] < sups[i] for i in range(1, len(sups) - 1))
         ok = tail_ok and monotone and sups[-1] < a / 10
-        steep_warp.norm_rows = recs  # run_suite writes them next to the report
-        return _record("steep_warp_breaks_the_algebra", STEEP_WARP, sups[-1], a / 10, passed=ok)
+        record = _record("steep_warp_breaks_the_algebra", STEEP_WARP, sups[-1], a / 10, passed=ok)
+        record["data"] = recs
+        return record
 
     @_check("translation_invariant_term_is_constant", STEEP_WARP, 1e-10)
     def no_second_term():
@@ -745,11 +746,10 @@ SUITES = {
 }
 
 
-def run_suite(name, cfg, out_path=None):
-    checks = SUITES[name](cfg)
+def run_suite(name, cfg):
     start = time.time()
     records = []
-    for fn in checks:
+    for fn in SUITES[name](cfg):
         try:
             res = fn()
         except Exception as exc:  # one check's fault must not lose the report
@@ -763,20 +763,13 @@ def run_suite(name, cfg, out_path=None):
                 "error": f"{type(exc).__name__}: {exc}",
             }
         records.extend(res if isinstance(res, list) else [res])  # one record or several
-    report = {
+    return {
         "suite": name,
         "config": cfg,
         "checks": records,
         "wall_time_s": round(time.time() - start, 3),
         "all_passed": all(r["status"] == "pass" for r in records),
     }
-    if out_path:
-        _write_atomic(out_path, json.dumps(report, indent=2))
-        for fn in checks:
-            rows = getattr(fn, "norm_rows", None)
-            if rows:
-                _write_norm_csv(out_path, rows)
-    return report
 
 
 def _write_atomic(path, text):
@@ -805,18 +798,6 @@ def _probe_write(path):
     with open(tmp, "w"):
         pass
     os.remove(tmp)
-
-
-def _norm_csv_path(report_path):
-    return f"{os.path.splitext(report_path)[0]}_norms.csv"
-
-
-def _write_norm_csv(report_path, rows):
-    text = io.StringIO()
-    writer = csv.DictWriter(text, fieldnames=list(rows[0].keys()))
-    writer.writeheader()
-    writer.writerows(rows)
-    _write_atomic(_norm_csv_path(report_path), text.getvalue())
 
 
 def main(argv=None):
@@ -849,18 +830,15 @@ def main(argv=None):
         return 2
 
     out_path = args.out or f"{args.suite.replace('-', '_')}_report.json"
-    # the run writes its files only after every check; a path it cannot
-    # write is refused before the first
-    paths = [out_path]
-    if args.suite == "demo-nonpreservation":
-        paths.append(_norm_csv_path(out_path))
-    for path in paths:
-        try:
-            _probe_write(path)
-        except OSError as exc:
-            print(f"error: cannot write report {path!r}: {exc.strerror}", file=sys.stderr)
-            return 2
-    report = run_suite(args.suite, cfg, out_path)
+    # the report is written only after every check; a path that cannot be
+    # written is refused before the first
+    try:
+        _probe_write(out_path)
+    except OSError as exc:
+        print(f"error: cannot write report {out_path!r}: {exc.strerror}", file=sys.stderr)
+        return 2
+    report = run_suite(args.suite, cfg)
+    _write_atomic(out_path, json.dumps(report, indent=2))
     for rec in report["checks"]:
         if rec["status"] == "error":
             print(f"[error] {rec['name']}: {rec['error']}")

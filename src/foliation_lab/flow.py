@@ -26,8 +26,11 @@ phi_t' = e^t everywhere; the case split is deliberate, not smoothed), and
 residual checks for the composition and cocycle identities satisfied by the
 phi_m^n.  Every flow evaluator takes (model, t, x), with t and x broadcast
 together (a grid is ``ts[:, None]`` against ``xs``), and is NaN exactly where
-``in_domain`` fails; ``flow_eval`` is ``flow_eval_many`` at one point, where
-that NaN raises FlowDomainError.
+``in_domain`` fails.  A point passed as 0-d input gets the bits it gets
+inside an array, because the one non-integer power is ``np.power``, not
+``**`` (which numpy computes on 0-d scalars with libm's pow); so
+``flow_eval`` is ``flow_eval_many`` at its scalars, where that NaN raises
+FlowDomainError.
 """
 
 from __future__ import annotations
@@ -98,7 +101,7 @@ def _monomial_power(model, t, x, a):
         return np.exp(a * t) * np.ones_like(x)
     base = 1.0 - (k - 1) * t * x ** (k - 1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(base > 0, np.abs(base) ** (-a / (k - 1)), np.nan)
+        return np.where(base > 0, np.power(np.abs(base), -a / (k - 1)), np.nan)
 
 
 def _rescaled_clock(k, z):
@@ -195,12 +198,8 @@ def flow_derivative_many(model, t, x):
 
 
 def flow_eval(model, t, x):
-    """phi_t(x) for a scalar pair; raises FlowDomainError outside the domain.
-
-    It is ``flow_eval_many`` at one-element arrays: at 0-d input numpy
-    computes ** on its scalars with libm's pow, which differs from the array
-    loop in the last bit at some points."""
-    value = float(flow_eval_many(model, [t], [x])[0])
+    """phi_t(x) for a scalar pair; raises FlowDomainError outside the domain."""
+    value = float(flow_eval_many(model, t, x))
     if isnan(value):
         raise FlowDomainError(
             f"(x={x}, t={t}) outside the domain of the order-{model.k} monomial flow"

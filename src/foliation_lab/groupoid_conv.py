@@ -85,11 +85,11 @@ class GroupoidKernel:
     # -- construction ---------------------------------------------------------
 
     @classmethod
-    def from_function(cls, flow, x_grid, t_grid, fn, **kw):
+    def from_function(cls, flow, x_grid, t_grid, fn):
         x_grid = GridSpec(*x_grid)
         t_grid = GridSpec(*t_grid)
         X, T = np.meshgrid(x_grid.points, t_grid.points, indexing="ij")
-        return cls(flow, x_grid, t_grid, fn(X, T), **kw)
+        return cls(flow, x_grid, t_grid, fn(X, T))
 
     def sup_norm(self):
         return float(np.max(np.abs(self.samples)))

@@ -81,17 +81,6 @@ def test_unwritable_report_path_is_usage_error(tmp_path, capsys, out, monkeypatc
     assert not (tmp_path / "missing").exists()
 
 
-def test_unwritable_norm_table_path_is_usage_error(tmp_path, capsys, monkeypatch):
-    # demo-nonpreservation also writes <out stem>_norms.csv; a directory
-    # there is refused before any check runs, and no report is written
-    (tmp_path / "demo_norms.csv").mkdir()
-    monkeypatch.setitem(SUITES, "demo-nonpreservation", lambda cfg: pytest.fail("a check ran"))
-    code = main(["demo-nonpreservation", "--out", str(tmp_path / "demo.json")])
-    assert code == 2
-    assert "demo_norms.csv" in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["demo_norms.csv"]
-
-
 def test_failed_atomic_write_removes_its_temp_file(tmp_path):
     (tmp_path / "reports").mkdir()
     with pytest.raises(IsADirectoryError):
@@ -242,9 +231,9 @@ def test_classify_cli_roundtrip(tmp_path, capsys):
     assert {"k": 2, "variant": "monomial", "epsilon": [-1, 1], "parity_invariant": 0} in data
 
 
-def test_index_suite_record(tmp_path):
+def test_index_suite_record():
     cfg = load_config(None, [])
-    report = run_suite("index", cfg, str(tmp_path / "index.json"))
+    report = run_suite("index", cfg)
     assert report["all_passed"]
     gen = [r for r in report["checks"] if r["name"] == "generator_winding_and_boundary_index"][0]
     assert gen["data"]["winding"] == 1
@@ -254,9 +243,9 @@ def test_index_suite_record(tmp_path):
     )
 
 
-def test_verify_jets_order_table(tmp_path):
+def test_verify_jets_order_table():
     cfg = load_config(None, ["k_values=[2]"])
-    report = run_suite("verify-jets", cfg, str(tmp_path / "jets.json"))
+    report = run_suite("verify-jets", cfg)
     byname = {r["name"]: r for r in report["checks"]}
     for q in (0, 1):
         rec = byname[f"commutator_norm_k2_order{q}"]
@@ -273,15 +262,42 @@ def test_reports_deterministic(tmp_path):
     assert r1["checks"] == r2["checks"]
 
 
-def test_demo_suite_writes_norm_csv(tmp_path):
+def test_demo_suite_writes_only_its_report(tmp_path, monkeypatch):
+    # the norm table is the steep-warp record's data, not a second file
+    from foliation_lab import wiener_hopf
+
+    monkeypatch.chdir(tmp_path)
+    assert main(["demo-nonpreservation", "--out", "demo.json"]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["demo.json"]
+    first = json.loads((tmp_path / "demo.json").read_text())["checks"][0]
+    assert first["name"] == "steep_warp_breaks_the_algebra"
+    rows = first["data"]
+    assert len(rows) == 21
+    assert all(list(row) == ["n", "norm", "first_term_norm", "pullback_l2", "pullback_sup"] for row in rows)
+    gaussian = wiener_hopf.GaussianSpec
+    want = wiener_hopf.nonpreservation_demo(
+        wiener_hopf.Diffeomorphism.exp_stretch(), gaussian(), gaussian(), n_max=20
+    )
+    assert rows == want
+
+
+def test_wrapped_checks_give_the_same_demo_report(monkeypatch):
+    # a wrapper of each check, as the benchmark tracer installs, hides every
+    # attribute of the check; the record and its data must not depend on one
     cfg = load_config(None, [])
-    out = str(tmp_path / "demo.json")
-    report = run_suite("demo-nonpreservation", cfg, out)
-    assert report["all_passed"]
-    csv_path = str(tmp_path / "demo_norms.csv")
-    assert os.path.exists(csv_path)
-    header = open(csv_path).readline().strip().split(",")
-    assert header == ["n", "norm", "first_term_norm", "pullback_l2", "pullback_sup"]
+    plain = run_suite("demo-nonpreservation", cfg)
+    build = SUITES["demo-nonpreservation"]
+
+    def wrap(check):
+        def traced():
+            return check()
+
+        return traced
+
+    monkeypatch.setitem(SUITES, "demo-nonpreservation", lambda cfg: [wrap(c) for c in build(cfg)])
+    wrapped = run_suite("demo-nonpreservation", cfg)
+    assert len(wrapped["checks"][0]["data"]) == 21
+    assert wrapped["checks"] == plain["checks"]
 
 
 def test_failing_check_still_writes_report(tmp_path, monkeypatch):
@@ -466,12 +482,12 @@ def test_raising_steep_warp_is_named_and_writes_no_csv(tmp_path, monkeypatch):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(wiener_hopf, "nonpreservation_demo", raises)
-    out = str(tmp_path / "demo.json")
-    report = run_suite("demo-nonpreservation", load_config(None, []), out)
-    first = report["checks"][0]
+    out = tmp_path / "demo.json"
+    assert main(["demo-nonpreservation", "--out", str(out)]) == 3
+    first = json.loads(out.read_text())["checks"][0]
     assert first["status"] == "error" and first["name"] == "steep_warp"
     assert first["error"] == "RuntimeError: boom"
-    assert not os.path.exists(str(tmp_path / "demo_norms.csv"))
+    assert [p.name for p in tmp_path.iterdir()] == ["demo.json"]
 
 
 def test_every_record_carries_anchor(tmp_path):

@@ -280,6 +280,21 @@ def test_broadcast_evaluators_match_per_point_calls_bit_for_bit(k, variant, time
         assert np.array_equal(hexes(many(model, tt.ravel(), xx.ravel())).reshape(want.shape), want)
 
 
+@pytest.mark.parametrize("time_reversed", [False, True])
+def test_zero_d_input_matches_array_input_bit_for_bit(time_reversed):
+    # numpy computes ** on 0-d scalars with libm's pow and on arrays with its
+    # own loop, which differ in the last bit at some points; np.power takes
+    # the array loop at either shape
+    for k in range(1, 7):
+        model = FlowModel(k, time_reversed=time_reversed)
+        rng = np.random.default_rng([k, time_reversed])
+        xs, ts = rng.uniform(-2.0, 2.0, 1000), rng.uniform(-3.0, 3.0, 1000)
+        for many in _evaluators(MONOMIAL):
+            want = many(model, ts, xs)
+            got = np.array([many(model, t, x) for t, x in zip(ts, xs)])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (k, many.__name__)
+
+
 def test_flow_derivative_closed_forms():
     got = flow_derivative_many(FlowModel(1), [0.7], [0.3])[0]
     assert got == pytest.approx(np.exp(0.7), rel=1e-13)
