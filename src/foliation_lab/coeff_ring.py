@@ -11,8 +11,10 @@ jet coefficient is one.
 ``GridFn`` and the groupoid kernels.  ``GridSpec.convolved`` is the axis of
 a discrete convolution: the steps must agree, and it starts at the sum of
 the starts, whatever the offsets.  ``_frozen_samples`` is the one
-construction rule of a sampled function: an owned, read-only copy, below
-``support_tol * max(1, peak)`` on the boundary of its window.
+construction rule of a sampled function: read-only samples, below
+``support_tol * max(1, peak)`` on the boundary of its window, copied from
+the caller's array, or kept as they are when an operation has just
+allocated them (``_Fresh``).
 
 ``GridFn`` is a function sampled on a ``GridSpec``, zero outside the
 sampled window.  Its one operation is convolution, discrete quadrature
@@ -238,13 +240,23 @@ class GridSpec(namedtuple("GridSpec", "start step count")):
         return GridSpec(self.start + other.start, self.step, self.count + other.count - 1)
 
 
+# a float or complex array that an operation has just allocated, handed to
+# a constructor to keep: ``_frozen_samples`` freezes it in place
+_Fresh = namedtuple("_Fresh", "array")
+
+
 def _frozen_samples(samples, grids, support_tol):
     """The construction rule of every sampled function on the axes ``grids``:
-    an owned, read-only float or complex copy of ``samples`` in their shape,
-    returned with the mass threshold ``support_tol * max(1, peak)``, which no
-    sample on the window's boundary (first and last along each axis) exceeds."""
-    samples = np.asarray(samples)
-    samples = np.array(samples, dtype=np.result_type(samples, float))  # own the data
+    a read-only float or complex array of ``samples`` in their shape, which
+    is an owned copy unless samples come as ``_Fresh``, whose array is kept
+    as it is, memory order included.  Returned with the mass threshold
+    ``support_tol * max(1, peak)``, which no sample on the window's boundary
+    (first and last along each axis) exceeds."""
+    if isinstance(samples, _Fresh):
+        samples = samples.array
+    else:
+        samples = np.asarray(samples)
+        samples = np.array(samples, dtype=np.result_type(samples, float))  # own the data
     shape = tuple(grid.count for grid in grids)
     if samples.shape != shape:
         raise ValueError(f"samples shape {samples.shape} does not match the grid shape {shape}")
@@ -282,7 +294,7 @@ class GridFn:
                 "cannot combine GridFn with " + type(other).__name__
             )
         grid = self.grid.convolved(other.grid)
-        return GridFn(grid, _fft_convolve(self.samples, other.samples) * grid.step)
+        return GridFn(grid, _Fresh(_fft_convolve(self.samples, other.samples) * grid.step))
 
 
 # ---------------------------------------------------------------------------

@@ -19,17 +19,24 @@ interval of each point and ``_spline_horner`` evaluates there.  Building a
 kernel is the one flow-domain check, at a support tolerance no larger than
 DERIVED_SUPPORT_TOL, the mass threshold of the operations; so they evaluate
 the flow, NaN exactly off the domain, without checking it again.  The
-convolution locates every warped node once per product; for each quadrature
+convolution warps and locates only the box of g's nodes that carry mass by
+the rows from g's first to its last nonzero row at any of them; for each
 node it evaluates the spline only on the contiguous rows between g's first
 and last nonzero row of that column.
 A product's t-axis is ``GridSpec.convolved`` of its operands' axes and its
 x-window is unchanged; kernels, like ``GridFn``, are built by
-``coeff_ring._frozen_samples``.  The adjoint needs f at (phi_tau(x), -tau)
-only, so for each output time it evaluates the x-interpolant of the one
-mirrored column, straight from the spline's piecewise coefficients.  Both
-build and evaluate the spline on f's window of t-columns between its first
-and last nonzero one only: a zero column has a zero spline and adds exact
-zeros, so every result is the same bit for bit as with the full spline.
+``coeff_ring._frozen_samples``, which keeps an operation's freshly
+allocated result as it is (``_Fresh``) and copies any other array.  The
+adjoint needs f at (phi_tau(x), -tau) only, so it warps only the output
+times that f's nonzero columns fill, and for each it evaluates the
+x-interpolant of the one mirrored column, straight from the spline's
+piecewise coefficients.  Both build and evaluate the spline on f's window
+of t-columns between its first and last nonzero one only: a zero column has
+a zero spline and adds exact zeros, so every result is the same bit for bit
+as with the full spline.  The located warps of the last
+``LOCATE_MEMO_SIZE`` (flow, grids, times, rows) keys are kept (``_located``),
+read-only: the products and adjoints of one check share their grids and,
+for kernels of one family, their boxes.
 
 Kernels keep the dtype of their samples: real samples stay float64 through
 every operation, and a result is complex only when an input is.
@@ -37,17 +44,36 @@ every operation, and a result is complex only when an input is.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .coeff_ring import (
-    DEFAULT_SUPPORT_TOL, GridSpec, _frozen_samples, _nonzero_span, _spline_coeffs, _spline_horner,
-    _spline_locate,
+    DEFAULT_SUPPORT_TOL, GridSpec, _Fresh, _frozen_samples, _nonzero_span, _spline_coeffs,
+    _spline_horner, _spline_locate,
 )
 from .flow import FlowDomainError, FlowModel, cocycle_delta_many, flow_eval_many
 
 # kernels produced by interpolating operations carry cubic-interpolation
 # ringing off the support edge; their boundary check allows for it
 DERIVED_SUPPORT_TOL = 1e-7
+# (grid, box) keys whose located warps are kept: the products of one check
+# on one flow touch two, their operands' grid and the product grid
+LOCATE_MEMO_SIZE = 2
+
+
+@lru_cache(maxsize=LOCATE_MEMO_SIZE)
+def _located(flow, x_grid, t_grid, times, rows):
+    """``_spline_locate`` on x_grid's nodes of phi_t(x) for t in
+    ``t_grid.points[slice(*times)]`` and x in ``x_grid.points[slice(*rows)]``,
+    NaN off the flow domain; read-only, the interval index as int32."""
+    xs = x_grid.points
+    warped = flow_eval_many(flow, t_grid.points[slice(*times), None], xs[slice(*rows)])
+    idx, offset, outside = _spline_locate(xs, warped)
+    located = (idx.astype(np.int32), offset, outside)
+    for a in located:
+        a.setflags(write=False)
+    return located
 
 
 class GroupoidKernel:
@@ -109,33 +135,37 @@ def convolve(f, g):
     """
     f._check_compatible(g)
     t_grid = f.t_grid.convolved(g.t_grid)
-    flow = f.flow
     xs = f.x_grid.points
     dt = t_grid.step
     out = np.zeros((f.x_grid.count, t_grid.count), dtype=np.result_type(f.samples, g.samples))
 
-    warped = flow_eval_many(flow, g.t_grid.points[:, None], xs)  # (n_s, n_x), NaN off-domain
-    mass = np.abs(g.samples.T) > g.support_tol * max(g.sup_norm(), 1.0)  # (n_s, n_x)
-    # f's t-columns outside c0:c1 are zero, so their spline is zero and they
-    # would add exact zeros
-    c0, c1 = _nonzero_span(np.any(f.samples, axis=0))
-    spline = _spline_coeffs(xs, f.samples[:, c0:c1])
-    idx, offset, outside = _spline_locate(xs, warped)
-    trap_w = np.ones(g.t_grid.count)
-    trap_w[0] = trap_w[-1] = 0.5
-
-    for l in np.flatnonzero(np.any(mass, axis=1)):
-        # the rows from g's first to last nonzero one; a zero row between
-        # them adds exact zeros
-        lo, hi = _nonzero_span(g.samples[:, l])
-        f_slab = _spline_horner(spline, (idx[l, lo:hi],), offset[l, lo:hi, None], outside[l, lo:hi])
-        out[lo:hi, l + c0 : l + c1] += (trap_w[l] * dt) * f_slab * g.samples[lo:hi, l, None]
-
-    # freed before the kernel copies out, so that the copy can reuse their
-    # memory; with them alive the copy took about twice as long on the
-    # refined grids
-    del idx, offset, outside, spline
-    return GroupoidKernel(flow, f.x_grid, t_grid, out, f.support_tol)
+    mass = np.abs(g.samples) > g.support_tol * max(g.sup_norm(), 1.0)  # (n_x, n_s)
+    nodes = np.flatnonzero(np.any(mass, axis=0))
+    if nodes.size:
+        s0, s1 = int(nodes[0]), int(nodes[-1]) + 1
+        # the rows from g's first to last nonzero one, per node; a zero row
+        # between them adds exact zeros
+        nonzero = g.samples[:, s0:s1] != 0
+        first = np.argmax(nonzero, axis=0)
+        last = nonzero.shape[0] - np.argmax(nonzero[::-1], axis=0)
+        r0, r1 = int(first[nodes - s0].min()), int(last[nodes - s0].max())
+        idx, offset, outside = _located(f.flow, f.x_grid, g.t_grid, (s0, s1), (r0, r1))
+        # f's t-columns outside c0:c1 are zero, so their spline is zero and
+        # they would add exact zeros
+        c0, c1 = _nonzero_span(np.any(f.samples, axis=0))
+        spline = _spline_coeffs(xs, f.samples[:, c0:c1])
+        trap_w = np.ones(g.t_grid.count)
+        trap_w[0] = trap_w[-1] = 0.5
+        # a real slab times a complex g is complex, and cannot be scaled in place
+        in_place = f.samples.dtype == out.dtype
+        for l in nodes:
+            lo, hi = first[l - s0], last[l - s0]
+            box = (l - s0, slice(lo - r0, hi - r0))
+            f_slab = _spline_horner(spline, (idx[box],), offset[box][:, None], outside[box])
+            f_slab *= trap_w[l] * dt
+            g_col = g.samples[lo:hi, l, None]
+            out[lo:hi, l + c0 : l + c1] += np.multiply(f_slab, g_col, out=f_slab if in_place else None)
+    return GroupoidKernel(f.flow, f.x_grid, t_grid, _Fresh(out), f.support_tol)
 
 
 def adjoint(f):
@@ -145,24 +175,24 @@ def adjoint(f):
     supported on composable pairs) and become zeros; the construction check
     of the result raises if mass actually lands on an inadmissible row.
     """
-    flow = f.flow
     xs = f.x_grid.points
     n_t = f.t_grid.count
     t_grid = GridSpec(-f.t_grid.end, f.t_grid.step, n_t)
-    warped = flow_eval_many(flow, t_grid.points[:, None], xs)  # (n_t, n_x)
 
     # f at (phi_tau(x), -tau); -tau is the mirrored on-grid column, so f's
-    # nonzero columns c0:c1 fill the output times n_t - c1 : n_t - c0
+    # nonzero columns c0:c1 fill the output times n_t - c1 : n_t - c0, the
+    # only ones warped
     c0, c1 = _nonzero_span(np.any(f.samples, axis=0))
-    times = slice(n_t - c1, n_t - c0)
-    idx, offset, outside = _spline_locate(xs, warped[times])
+    times = (n_t - c1, n_t - c0)
+    idx, offset, outside = _located(f.flow, f.x_grid, t_grid, times, (0, xs.size))
     mirrored = np.arange(c1 - c0)[::-1, None]
     vals = np.zeros((n_t, xs.size), dtype=f.samples.dtype)  # (n_t, n_x)
-    vals[times] = _spline_horner(
+    vals[slice(*times)] = _spline_horner(
         _spline_coeffs(xs, f.samples[:, c0:c1]), (idx, mirrored), offset, outside
     )
-    out = np.conj(vals.T)
-    return GroupoidKernel(flow, f.x_grid, t_grid, out, DERIVED_SUPPORT_TOL)
+    # vals.T is F-ordered, and the result keeps that order: sums along its
+    # axes depend on it
+    return GroupoidKernel(f.flow, f.x_grid, t_grid, _Fresh(np.conj(vals.T)), DERIVED_SUPPORT_TOL)
 
 
 def module_mult_left(a, g):
@@ -171,7 +201,7 @@ def module_mult_left(a, g):
     a_vals = np.asarray(a(np.where(np.isnan(warped), 0.0, warped)))
     a_vals = np.where(np.isnan(warped), 0.0, a_vals)
     return GroupoidKernel(
-        g.flow, g.x_grid, g.t_grid, a_vals.T * g.samples, g.support_tol
+        g.flow, g.x_grid, g.t_grid, _Fresh(a_vals.T * g.samples), g.support_tol
     )
 
 
@@ -179,7 +209,7 @@ def module_mult_right(g, a):
     """(g.a)(x,t) = a(x) g(x,t)."""
     a_vals = np.asarray(a(g.x_grid.points))
     return GroupoidKernel(
-        g.flow, g.x_grid, g.t_grid, a_vals[:, None] * g.samples, g.support_tol
+        g.flow, g.x_grid, g.t_grid, _Fresh(a_vals[:, None] * g.samples), g.support_tol
     )
 
 
@@ -187,7 +217,7 @@ def scale_by_delta(g):
     """Pointwise multiply by the cocycle Delta(x,t) = phi_t(x)/x (extended)."""
     vals = cocycle_delta_many(g.flow, g.t_grid.points[:, None], g.x_grid.points).T  # (n_x, n_t)
     vals = np.where(np.isnan(vals), 0.0, vals)
-    return GroupoidKernel(g.flow, g.x_grid, g.t_grid, vals * g.samples, g.support_tol)
+    return GroupoidKernel(g.flow, g.x_grid, g.t_grid, _Fresh(vals * g.samples), g.support_tol)
 
 
 def taylor_map(f, p):

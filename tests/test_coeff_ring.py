@@ -20,11 +20,13 @@ from foliation_lab.coeff_ring import (
     GridFn,
     GridSpec,
     RepresentationMismatchError,
+    _Fresh,
     _bump,
     _bump_series,
     _RAMP_81,
     _RAMP_4001,
     _fft_convolve,
+    _frozen_samples,
     _linspace,
     _spline_coeffs,
     _spline_horner,
@@ -580,6 +582,17 @@ def test_samples_are_frozen():
     g = _sampled_gaussian(step=0.05, radius=8.0)
     with pytest.raises(ValueError):
         g.samples[0] = 1.0
+
+
+def test_a_callers_samples_are_copied_and_a_fresh_array_is_kept():
+    g = _sampled_gaussian(step=0.05, radius=8.0)
+    mine = np.array(g.samples)
+    assert not np.shares_memory(mine, GridFn(g.grid, mine).samples)
+    assert mine.flags.writeable
+    fresh = np.asfortranarray(np.zeros((g.grid.count, 3)))
+    kept, _ = _frozen_samples(_Fresh(fresh), (g.grid, GridSpec(0.0, 1.0, 3)), 1e-10)
+    assert kept is fresh and not fresh.flags.writeable
+    assert not g.convolve(g).samples.flags.writeable
 
 
 @pytest.mark.parametrize("radius", ["3/10", "1", "7/4"])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import make_kernel, mollifier, plateau
+from foliation_lab import groupoid_conv
 from foliation_lab.coeff_ring import GaussPolyFn, GridSpec, _spline_coeffs
 from foliation_lab.flow import (
     COMPLETE_RESCALED,
@@ -335,6 +336,97 @@ def test_kernel_samples_are_frozen():
     f = make_kernel(FlowModel(2), lambda X, T: mollifier(X, 0.3) * mollifier(T, 0.4))
     with pytest.raises(ValueError):
         f.samples[0, 0] = 1.0
+
+
+def test_a_callers_array_is_copied_and_stays_writeable():
+    f = make_kernel(FlowModel(2), lambda X, T: mollifier(X, 0.3) * mollifier(T, 0.4))
+    for mine in (np.array(f.samples), np.asfortranarray(f.samples)):
+        kernel = GroupoidKernel(f.flow, f.x_grid, f.t_grid, mine)
+        assert mine.flags.writeable and not np.shares_memory(mine, kernel.samples)
+        mine[...] = 1.0
+        assert np.array_equal(kernel.samples, f.samples)
+
+
+def test_operation_results_are_read_only_in_their_own_layout():
+    model = FlowModel(2)
+    f, g, *_ = separable_pair(model)
+    ident = lambda x: x
+    results = (
+        convolve(f, g), adjoint(f), module_mult_left(ident, f), module_mult_right(f, ident),
+        scale_by_delta(f),
+    )
+    for result in results:
+        assert not result.samples.flags.writeable
+        with pytest.raises(ValueError):
+            result.samples[0, 0] = 1.0
+    assert results[0].samples.flags.c_contiguous
+    # the adjoint computes its values time-major, and its kernel keeps them
+    # so: the record sums along either axis depend on that layout
+    assert results[1].samples.flags.f_contiguous and not results[1].samples.flags.c_contiguous
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_operations_warp_only_the_points_they_use(k, monkeypatch):
+    """convolve warps g's nonzero rows by its nodes that carry mass, and
+    adjoint the output times it fills; both give the whole-grid results bit
+    for bit, real with complex either way."""
+    model = FlowModel(k)
+    f = make_kernel(model, lambda X, T: mollifier(X, 0.3) * mollifier(T, 0.4) * (1 + X))
+    # g's mass sits off centre, and its rows move from node to node
+    g = make_kernel(
+        model,
+        lambda X, T: mollifier(X - 0.1 - 0.3 * T, 0.15) * mollifier(T - 0.1, 0.2) * np.exp(0.7j * T),
+    )
+    warps = []
+
+    def recording(model, t, x):
+        warps.append(np.broadcast_shapes(np.shape(t), np.shape(x)))
+        return flow_eval_many(model, t, x)
+
+    monkeypatch.setattr(groupoid_conv, "flow_eval_many", recording)
+    groupoid_conv._located.cache_clear()  # a kept warp would not be recorded
+    for a, b in ((f, g), (g, f)):
+        got = convolve(a, b).samples
+        assert np.iscomplexobj(got) and np.array_equal(got, convolve_column_loop(a, b))
+    rows = np.flatnonzero(np.any(g.samples, axis=1))
+    nodes = np.flatnonzero(np.any(np.abs(g.samples) > g.support_tol * g.sup_norm(), axis=0))
+    assert warps[0] == (nodes[-1] - nodes[0] + 1, rows[-1] - rows[0] + 1)
+    assert warps[0][1] < g.x_grid.count / 2
+    columns = np.flatnonzero(np.any(g.samples, axis=0))
+    assert columns.size < g.t_grid.count / 2
+    warps.clear()
+    adjoint(g)
+    assert warps == [(columns[-1] - columns[0] + 1, g.x_grid.count)]
+
+
+def test_kept_warps_give_the_same_kernels_and_stay_bounded():
+    """A product or adjoint from kept (memo) warps equals one from fresh warps
+    bit for bit, also when g's box differs from the other operands'; the
+    memo holds LOCATE_MEMO_SIZE keys of read-only arrays."""
+    model = FlowModel(2)
+    f, g, *_ = separable_pair(model)
+    shifted = make_kernel(
+        model, lambda X, T: mollifier(X - 0.1 - 0.3 * T, 0.15) * mollifier(T - 0.1, 0.2)
+    )
+    located = groupoid_conv._located
+    ops = [
+        lambda: convolve(f, g), lambda: convolve(f, shifted), lambda: convolve(shifted, g),
+        lambda: adjoint(g), lambda: adjoint(shifted),
+    ]
+    fresh = []
+    for op in ops:
+        located.cache_clear()
+        fresh.append(op().samples)
+    located.cache_clear()
+    for i in (0, 0, 1, 0, 2, 1, 3, 3, 4, 1, 4, 2):
+        assert np.array_equal(ops[i]().samples, fresh[i])
+    info = located.cache_info()
+    assert info.hits >= 4 and info.maxsize == groupoid_conv.LOCATE_MEMO_SIZE == 2
+    assert info.currsize == 2
+    idx, offset, outside = located(model, f.x_grid, f.t_grid, (3, 9), (10, 20))
+    assert idx.dtype == np.int32 and idx.shape == offset.shape == outside.shape == (6, 10)
+    for a in (idx, offset, outside):
+        assert not a.flags.writeable
 
 
 # ---------------------------------------------------------------------------
