@@ -35,8 +35,8 @@ of t-columns between its first and last nonzero one only: a zero column has
 a zero spline and adds exact zeros, so every result is the same bit for bit
 as with the full spline.  The located warps of the last
 ``LOCATE_MEMO_SIZE`` (flow, grids, times, rows) keys are kept (``_located``),
-read-only: the products and adjoints of one check share their grids and,
-for kernels of one family, their boxes.
+read-only: consecutive products and adjoints of one check often share
+their grid and box.
 
 Kernels keep the dtype of their samples: real samples stay float64 through
 every operation, and a result is complex only when an input is.
@@ -57,9 +57,10 @@ from .flow import FlowDomainError, FlowModel, cocycle_delta_many, flow_eval_many
 # kernels produced by interpolating operations carry cubic-interpolation
 # ringing off the support edge; their boundary check allows for it
 DERIVED_SUPPORT_TOL = 1e-7
-# (grid, box) keys whose located warps are kept: the products of one check
-# on one flow touch two, their operands' grid and the product grid
-LOCATE_MEMO_SIZE = 2
+# (grid, box) keys whose located warps are kept: one keeps 28 of the 83
+# warps of a default verify-groupoid pass, as many as two, whose second
+# entry raised the refined pass's peak memory by 0.7 MB
+LOCATE_MEMO_SIZE = 1
 
 
 @lru_cache(maxsize=LOCATE_MEMO_SIZE)
